@@ -80,6 +80,21 @@ class TestGoldenEquivalence:
         result = simulations[name].run()
         assert generator.fingerprint(result) == golden[name]
 
-    def test_golden_covers_full_matrix(self, golden):
+    def test_golden_covers_full_matrix(self, golden, generator):
         # 4 workloads x 4 policies x 2 units x 2 seeds + faults + jitter
-        assert len(golden) == 66
+        runs = [k for k in golden if not k.startswith(generator.PIN_PREFIXES)]
+        assert len(runs) == 66
+
+
+class TestBytePins:
+    """Fleet summary JSON and JSONL trace bytes, pinned by SHA-256."""
+
+    def test_pins_hold(self):
+        generator = load_generator()
+        golden = load_golden()
+        pinned = {
+            k: v for k, v in golden.items() if k.startswith(generator.PIN_PREFIXES)
+        }
+        # 8 fleet summaries + 3 single-run traces + 2 fleet traces
+        assert len(pinned) == 13
+        assert generator.pins() == pinned

@@ -12,6 +12,13 @@ it only when a semantic engine change is intended and reviewed:
     PYTHONPATH=src python tools/gen_golden_engine.py --check --no-chaos
     PYTHONPATH=src python tools/gen_golden_engine.py --check --validate
 
+Besides the 66 single-run fingerprints the file pins SHA-256 digests of
+bytes: ``fleet/<name>`` keys hold the :meth:`~repro.fleet.result.
+FleetResult.to_summary_json` of a fleet run (every allocation policy and
+fleet autoscaler, a chaos run, an admission-capped run) and
+``trace/<name>`` keys hold the JSONL trace of a traced single or fleet
+run (plain, chaos, validated).
+
 ``--check`` re-runs every scenario and exits nonzero on any fingerprint
 drift (the CI gate over the full matrix; the unit suite samples a fast
 subset). ``--traced`` attaches a telemetry tracer to every run, proving
@@ -28,8 +35,10 @@ upload it as an artifact.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.autoscalers import (
@@ -39,9 +48,19 @@ from repro.autoscalers import (
     full_site,
 )
 from repro.cloud import exogeni_site
+from repro.cloud.faults import parse_chaos_spec
 from repro.engine.faults import RandomFaults
 from repro.engine.simulator import Simulation
 from repro.experiments.harness import default_transfer_model
+from repro.fleet import (
+    BurstyArrivals,
+    FleetSimulation,
+    PoissonArrivals,
+    allocation_policy,
+    fleet_autoscaler,
+    fleet_workload_catalog,
+)
+from repro.telemetry import JsonlSink, Tracer
 from repro.workloads import table1_specs
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "engine" / (
@@ -143,6 +162,160 @@ def fingerprint(result) -> dict:
     }
 
 
+#: chaos spec of the pinned chaos runs (single and fleet)
+PIN_CHAOS = "revocations=6,stragglers=0.3,pfail=0.3,blackouts=0.2"
+
+#: key prefixes of the byte pins (every other key is a run fingerprint)
+PIN_PREFIXES = ("fleet/", "trace/")
+
+
+def _fleet(
+    arrivals,
+    policy: str,
+    autoscaler: str,
+    *,
+    seed: int = 0,
+    charging_unit: float = 900.0,
+    tracer=None,
+    chaos=None,
+    validate=None,
+    **kwargs,
+) -> FleetSimulation:
+    return FleetSimulation(
+        arrivals.generate(seed),
+        fleet_workload_catalog(),
+        exogeni_site(),
+        fleet_autoscaler(autoscaler),
+        allocation_policy(policy),
+        charging_unit,
+        transfer_model=default_transfer_model(),
+        seed=seed,
+        tracer=tracer,
+        chaos=chaos,
+        validate=validate,
+        **kwargs,
+    )
+
+
+def fleet_scenarios(tracer_factory=None, chaos=None, validate_factory=None):
+    """Pinned fleet runs: name -> FleetSimulation.
+
+    The three factories/specs mean what they mean for :func:`scenarios`;
+    the chaos run keeps its own enabled spec.
+    """
+    poisson = PoissonArrivals(4.0, 4, ("tpch6-S", "pagerank-S"))
+    bursty = BurstyArrivals(3, 2, 1800.0, ("tpch6-S", "genome-S"))
+    cases = [
+        ("fleet/fifo/global-wire", poisson, "fifo", "global-wire", {}),
+        ("fleet/fair-share/global-wire", poisson, "fair-share", "global-wire", {}),
+        ("fleet/priority/global-wire", bursty, "priority", "global-wire", {}),
+        ("fleet/fair-share/global-static", poisson, "fair-share", "global-static", {}),
+        ("fleet/fifo/global-reactive", bursty, "fifo", "global-reactive", {}),
+        (
+            "fleet/fair-share/global-wire/chaos",
+            poisson,
+            "fair-share",
+            "global-wire",
+            {"chaos": parse_chaos_spec(PIN_CHAOS), "seed": 3},
+        ),
+        (
+            "fleet/priority/global-wire/max-active",
+            bursty,
+            "priority",
+            "global-wire",
+            {"max_active": 2, "seed": 1},
+        ),
+        (
+            "fleet/fair-share/global-reactive/u60",
+            poisson,
+            "fair-share",
+            "global-reactive",
+            {"seed": 2, "charging_unit": 60.0},
+        ),
+    ]
+    for name, arrivals, policy, autoscaler, kwargs in cases:
+        kwargs = dict(kwargs)
+        kwargs.setdefault("chaos", chaos)
+        yield name, _fleet(
+            arrivals,
+            policy,
+            autoscaler,
+            tracer=tracer_factory() if tracer_factory is not None else None,
+            validate=validate_factory() if validate_factory is not None else None,
+            **kwargs,
+        )
+
+
+def trace_scenarios():
+    """Pinned traced runs: name -> factory taking a Tracer."""
+    specs = table1_specs()
+    site = exogeni_site()
+    chaos = parse_chaos_spec(PIN_CHAOS)
+
+    def single(wf_name, policy, **kwargs):
+        seed = kwargs.setdefault("seed", 0)
+        return lambda tracer: Simulation(
+            specs[wf_name].generate(seed),
+            site,
+            policy(),
+            60.0,
+            transfer_model=default_transfer_model(),
+            tracer=tracer,
+            **kwargs,
+        )
+
+    poisson = PoissonArrivals(4.0, 3, ("tpch6-S", "pagerank-S"))
+    return [
+        ("trace/genome-S/wire", single("genome-S", WireAutoscaler)),
+        (
+            "trace/genome-S/wire/chaos",
+            single("genome-S", WireAutoscaler, chaos=chaos, seed=2),
+        ),
+        (
+            "trace/pagerank-S/pure-reactive/validated",
+            single(
+                "pagerank-S",
+                PureReactiveAutoscaler,
+                validate=True,
+                fault_model=RandomFaults(probability=0.1, max_attempt=5),
+            ),
+        ),
+        (
+            "trace/fleet/fair-share/global-wire",
+            lambda tracer: _fleet(poisson, "fair-share", "global-wire", tracer=tracer),
+        ),
+        (
+            "trace/fleet/fifo/global-wire/chaos/validated",
+            lambda tracer: _fleet(
+                poisson, "fifo", "global-wire", tracer=tracer, chaos=chaos,
+                validate=True, seed=4,
+            ),
+        ),
+    ]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def pins(tracer_factory=None, chaos=None, validate_factory=None) -> dict:
+    """Every byte pin: key -> {"sha256": digest}."""
+    out = {}
+    for name, sim in fleet_scenarios(tracer_factory, chaos, validate_factory):
+        summary = sim.run().to_summary_json()
+        out[name] = {"sha256": _sha256(summary.encode("utf-8"))}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in trace_scenarios():
+            path = Path(tmp) / "trace.jsonl"
+            sink = JsonlSink(path)
+            try:
+                make(Tracer(sink)).run()
+            finally:
+                sink.close()
+            out[name] = {"sha256": _sha256(path.read_bytes())}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -204,6 +377,7 @@ def main(argv=None) -> int:
             violations[name] = sim.validator.violations
         if not args.check:
             print(f"  {name}")
+    payload.update(pins(tracer_factory, chaos, validate_factory))
 
     if violations:
         print(f"FAIL: {len(violations)} scenario(s) reported violations:")
@@ -247,7 +421,11 @@ def main(argv=None) -> int:
                 )
                 print(f"wrote drift report to {args.diff_out}")
             return 1
-        print(f"ok: {len(payload)} golden scenarios bit-identical ({mode})")
+        n_pins = sum(name.startswith(PIN_PREFIXES) for name in payload)
+        print(
+            f"ok: {len(payload) - n_pins} golden scenarios and {n_pins} byte "
+            f"pins bit-identical ({mode})"
+        )
         return 0
 
     OUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", "utf-8")
