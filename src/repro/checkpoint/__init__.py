@@ -8,8 +8,9 @@ layer over the engines:
 
 - :func:`save_checkpoint` serializes a :class:`~repro.fleet.engine.
   FleetSimulation` or :class:`~repro.engine.simulator.Simulation` —
-  event queue(s) with their shared sequence counter, pool and billing
-  state, per-tenant predictor/OGD state, chaos and launch RNG streams,
+  the event queue with its sequence counter, pool and billing state,
+  every run's master/monitor/queue, per-tenant predictor/OGD state,
+  chaos and launch RNG streams,
   the attached invariant checker, and the telemetry cursor — into a
   single file with a magic tag, a format version, a JSON header, and a
   SHA-256 over the payload.
@@ -20,15 +21,15 @@ layer over the engines:
   for CLIs and tests).
 
 Checkpoints are only ever written at controller-tick boundaries — the
-MAPE epoch barrier, where every shard of a sharded fleet is drained to
-the same instant — so a cut never lands mid-event.
+MAPE epoch barrier — so a cut never lands mid-event.
 
 Why whole-object pickling is safe here
 --------------------------------------
 Every piece of engine state is plain Python/NumPy data drawing from
 labelled RNG sub-streams; ``pickle`` preserves the object graph
-including shared references (the tenants' ``_owner`` entries, the
-shards' shared ``itertools.count``). The two non-trivial cases:
+including shared references (the runs' ``_owner`` entries, the engine
+aliases of a single run's master and monitor). The two non-trivial
+cases:
 
 - **open trace files** — :class:`~repro.telemetry.sinks.JsonlSink`
   detaches its handle on pickling and records the flushed byte offset;
@@ -65,7 +66,8 @@ __all__ = [
 #: leading bytes of every checkpoint file
 CHECKPOINT_MAGIC = b"WIRECKPT"
 #: bumped whenever the on-disk layout or pickled engine schema changes
-CHECKPOINT_VERSION = 1
+#: (2: both engines share one core and its run objects)
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -93,10 +95,6 @@ class CheckpointInfo:
     sha256: str
 
 
-def _engine_kind(sim: Any) -> str:
-    return "fleet" if hasattr(sim, "tenants") else "single"
-
-
 def save_checkpoint(sim: Any, path: str | Path) -> CheckpointInfo:
     """Serialize ``sim`` to ``path`` and return the header written.
 
@@ -106,10 +104,10 @@ def save_checkpoint(sim: Any, path: str | Path) -> CheckpointInfo:
     payload = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
     info = CheckpointInfo(
         version=CHECKPOINT_VERSION,
-        kind=_engine_kind(sim),
+        kind=sim.kind,
         engine=type(sim).__qualname__,
         now=float(sim._now),
-        ticks=int(getattr(sim, "_ticks", 0)),
+        ticks=int(sim._ticks),
         events_processed=int(sim._events_processed),
         payload_bytes=len(payload),
         sha256=hashlib.sha256(payload).hexdigest(),

@@ -1,9 +1,11 @@
 """Workflow execution engine (Pegasus WMS / HTCondor stand-in).
 
-A deterministic discrete-event simulator that runs one workflow on an
+A deterministic discrete-event simulator that runs workflows on an
 elastic pool of simulated cloud instances, with kickstart-style monitoring,
 FIFO scheduling with the paper's first-five stage boost, and a pluggable
-autoscaler invoked on the MAPE cadence.
+autoscaler invoked on the MAPE cadence. One core (:class:`EngineCore`)
+serves both the single-workflow :class:`Simulation` and the multi-tenant
+fleet engine.
 """
 
 from repro.engine.control import (
@@ -22,7 +24,7 @@ from repro.engine.runtime import (
     TaskRuntimeModel,
 )
 from repro.engine.scheduler import FifoScheduler, LifoScheduler, RandomScheduler
-from repro.engine.simulator import RunResult, Simulation
+from repro.engine.simulator import EngineCore, RunResult, Simulation, WorkflowRun
 from repro.engine.transfer import (
     DataTransferModel,
     ExponentialTransferModel,
@@ -34,6 +36,7 @@ from repro.engine.transfer import (
 __all__ = [
     "Autoscaler",
     "DataTransferModel",
+    "EngineCore",
     "Event",
     "EventKind",
     "EventQueue",
@@ -59,4 +62,5 @@ __all__ = [
     "TaskExecState",
     "TaskRuntimeModel",
     "TerminationOrder",
+    "WorkflowRun",
 ]

@@ -1,10 +1,19 @@
 """Discrete-event workflow execution engine.
 
 This is the repo's stand-in for "Pegasus WMS/HTCondor running on ExoGENI":
-it executes one workflow run on an elastic pool of simulated worker
-instances, invoking an :class:`~repro.engine.control.Autoscaler` every
-control period (the MAPE cadence, paper §III-A) and applying its decisions
-with the site's provisioning lag.
+it executes workflow runs on an elastic pool of simulated worker
+instances, invoking an autoscaler every control period (the MAPE cadence,
+paper §III-A) and applying its decisions with the site's provisioning lag.
+
+One core, :class:`EngineCore`, owns the event loop, the instance and
+task lifecycles, cloud-fault injection and decision application. It
+drives any number of :class:`WorkflowRun` objects — one workflow's
+framework master, monitor and task queue each — through a single
+ownership map from pool-side task ids to ``(run, local id)``. Two thin
+engines sit on it: :class:`Simulation` drives one run under an
+:class:`~repro.engine.control.Autoscaler` with unscoped ids, and
+:class:`~repro.fleet.engine.FleetSimulation` drives a workload of them
+on a shared site.
 
 Determinism: all randomness flows from a single seed through labelled
 sub-streams (:mod:`repro.util.rng`), and simultaneous events fire in
@@ -16,6 +25,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.cloud.billing import BillingModel
 from repro.cloud.faults import ChaosInjector, ChaosSpec
@@ -45,7 +56,7 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.util.rng import RngStream
 from repro.util.validation import check_positive
 
-__all__ = ["RunResult", "Simulation"]
+__all__ = ["EngineCore", "RunResult", "Simulation", "WorkflowRun"]
 
 
 def _make_validator(validate: object):
@@ -63,6 +74,55 @@ def _make_validator(validate: object):
 
         return InvariantChecker()
     return validate
+
+
+def run_streams(rng: RngStream) -> dict[str, np.random.Generator]:
+    """The three per-run model streams, derived under ``rng``."""
+    return {
+        "rng_transfer": rng.child("transfer").generator(),
+        "rng_runtime": rng.child("runtime").generator(),
+        "rng_faults": rng.child("faults").generator(),
+    }
+
+
+@dataclass(eq=False, kw_only=True)
+class WorkflowRun:
+    """Live control stack of one workflow inside an engine run.
+
+    Its own framework master, monitor and task queue; the site, pool,
+    billing clock and event queue belong to the engine. Task ids inside
+    these structures are *local*; :meth:`scoped` gives the pool- and
+    event-queue-side id, which for a plain run is the local id itself.
+    """
+
+    workflow: Workflow
+    rng_transfer: np.random.Generator
+    rng_runtime: np.random.Generator
+    rng_faults: np.random.Generator
+    #: position in the engine's run list (keys busy-share attribution)
+    index: int = 0
+    scheduler: FifoScheduler = field(default_factory=FifoScheduler)
+    master: FrameworkMaster = field(init=False)
+    monitor: Monitor = field(init=False)
+    #: slots currently held on the pool (fair-share signal)
+    occupied_slots: int = 0
+    #: local task id -> time it became runnable; filled only when the
+    #: engine tracks queue waits
+    ready_at: dict[str, float] = field(default_factory=dict)
+    queue_waits: list[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.master = FrameworkMaster(self.workflow)
+        self.monitor = Monitor()
+
+    @property
+    def label(self) -> str:
+        """Prefix for checker messages ("" for a plain run)."""
+        return ""
+
+    def scoped(self, local_task_id: str) -> str:
+        """Pool-/event-queue-side id for one of this run's tasks."""
+        return local_task_id
 
 
 @dataclass
@@ -116,75 +176,43 @@ class RunResult:
         )
 
 
-class Simulation:
-    """One workflow run under one autoscaling policy.
+class EngineCore:
+    """The event loop, lifecycles and decision application of both engines.
 
-    Parameters
-    ----------
-    workflow, site, autoscaler:
-        What to run, where, and under which pool-sizing policy.
-    charging_unit:
-        Billing unit *u* in seconds.
-    transfer_model, runtime_model:
-        Ground-truth generators for transfers and execution times.
-    controller_period:
-        MAPE iteration period; defaults to the site's lag as the paper
-        prescribes (§III-A).
-    boost_k:
-        First-*k* per-stage priority boost (paper: 5).
-    seed:
-        Root seed for all stochastic models.
-    max_time:
-        Safety horizon; the run is marked incomplete if it exceeds this.
-    tracer:
-        Structured trace destination (:mod:`repro.telemetry`). Defaults to
-        the shared null tracer; every emission site is guarded by a single
-        cached boolean, so untraced runs pay one attribute check per
-        *potential* record, never record construction.
-    metrics:
-        Counter/gauge/histogram registry; defaults to the shared no-op
-        registry with the same cached-boolean fast path.
-    chaos:
-        Cloud-fault injection spec (:mod:`repro.cloud.faults`). ``None``
-        or a disabled spec leaves the run bit-identical to one with no
-        chaos wiring at all: no chaos RNG sub-stream is derived (child
-        streams are label-hashed, so the other streams are unaffected
-        either way), no chaos events are scheduled, and every chaos call
-        site is guarded by a single ``is not None`` check.
-    validate:
-        Runtime invariant checking (:mod:`repro.validate`). ``None`` or
-        ``False`` (default) disables it with the same zero-cost contract
-        as chaos — one ``is not None`` check per event, bit-identical
-        results. ``True`` attaches a default raise-mode
-        :class:`~repro.validate.checker.InvariantChecker`; an explicit
-        checker instance is used as-is (pass ``mode="collect"`` to
-        gather violations instead of stopping at the first).
+    A subclass registers its :class:`WorkflowRun` objects with
+    :meth:`_add_run` and supplies what genuinely differs between engines:
+    starting the runs (:meth:`_start`), which run feeds a free slot
+    (:meth:`_has_work`/:meth:`_next_run`), the controller's observation
+    and tick record (:meth:`_observe`/:meth:`_emit_tick`), and
+    finalization into a result (:meth:`_finalize`).
+
+    Parameters are those of :class:`Simulation`; ``rng`` is the engine's
+    root stream (its seed is the run's seed), under which the
+    launch-jitter and chaos streams derive.
+    Each engine class names its checkpoint header ``kind``
+    (see :mod:`repro.checkpoint`).
     """
 
     def __init__(
         self,
-        workflow: Workflow,
+        rng: RngStream,
         site: CloudSite,
-        autoscaler: Autoscaler,
+        autoscaler,
         charging_unit: float,
         *,
-        transfer_model: DataTransferModel | None = None,
-        runtime_model: TaskRuntimeModel | None = None,
-        fault_model: FaultModel | None = None,
-        controller_period: float | None = None,
-        boost_k: int = 5,
-        scheduler: FifoScheduler | None = None,
-        launch_jitter: float = 0.0,
-        seed: int = 0,
-        max_time: float = 1e8,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        chaos: ChaosSpec | None = None,
-        validate: object = None,
+        transfer_model: DataTransferModel | None,
+        runtime_model: TaskRuntimeModel | None,
+        fault_model: FaultModel | None,
+        controller_period: float | None,
+        launch_jitter: float,
+        max_time: float,
+        tracer: Tracer | None,
+        metrics: MetricsRegistry | None,
+        chaos: ChaosSpec | None,
+        validate: object,
     ) -> None:
         check_positive("charging_unit", charging_unit)
         check_positive("max_time", max_time)
-        self.workflow = workflow
         self.site = site
         self.autoscaler = autoscaler
         self.billing = BillingModel(charging_unit)
@@ -203,16 +231,14 @@ class Simulation:
             )
         self.launch_jitter = launch_jitter
         self.max_time = max_time
-        self._seed = seed
+        self._seed = rng.seed
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = self.tracer.enabled
+        #: whether runs record when tasks become ready (queue waits);
+        #: a plain run pays for it only when traced
+        self._track_ready = self._trace
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._metrics_on = self.metrics.enabled
-
-        rng = RngStream(seed=seed, label="simulation")
-        self._rng_transfer = rng.child("transfer").generator()
-        self._rng_runtime = rng.child("runtime").generator()
-        self._rng_faults = rng.child("faults").generator()
         self._rng_launch = rng.child("launch").generator()
 
         # Cloud-fault injection: the injector exists only when a fault
@@ -238,50 +264,87 @@ class Simulation:
 
         self.pool = InstancePool(site.itype, self.billing)
         self.provisioner = Provisioner(site, self.pool)
-        self.master = FrameworkMaster(workflow)
-        self.monitor = Monitor()
-        # A custom scheduler models §III-D's dispatch-order drift; the
-        # default is the FIFO order the steering policy assumes.
-        self.scheduler = scheduler if scheduler is not None else FifoScheduler(
-            boost_k=boost_k
-        )
         self.events = EventQueue()
+        self.runs: list[WorkflowRun] = []
+        #: pool-side task id -> (owning run, local task id)
+        self._owner: dict[str, tuple[WorkflowRun, str]] = {}
+        #: runs not yet finished; the loop ends when it reaches zero
+        self._unfinished = 0
 
         self._started = False
         self._now = 0.0
         self._events_processed = 0
         self._draining: set[str] = set()
         self._pending_task_event: dict[str, Event] = {}
+        #: pool-side task id -> slot assignment time (busy-share attribution)
+        self._assign_at: dict[str, float] = {}
+        #: (instance_id, run index) -> busy slot-seconds accrued
+        self._run_busy: dict[tuple[str, int], float] = {}
         self._timeline: list[tuple[float, int]] = []
         self._last_completion = 0.0
         self._ticks = 0
         self._controller_seconds = 0.0
         self._last_tick_time = 0.0
-        #: task id -> when it (re)entered the ready queue; populated only
-        #: when tracing (feeds TaskAttemptRecord.queue_wait)
-        self._ready_at: dict[str, float] = {}
         #: start of a monitoring window whose records were blacked out
         #: and are still awaiting delivery (delayed-records mode only)
         self._observe_from: float | None = None
 
+    def _add_run(self, run: WorkflowRun) -> None:
+        self.runs.append(run)
+        self._unfinished += 1
+        for local in run.workflow.tasks:
+            self._owner[run.scoped(local)] = (run, local)
+
     # ------------------------------------------------------------------
-    # public API
+    # engine-specific hooks
     # ------------------------------------------------------------------
-    def run(
+    def _label(self) -> str:
+        """``workflow`` field of the run's RunMetaRecord."""
+        raise NotImplementedError
+
+    def _start(self) -> None:
+        """Make the runs' work visible at t=0 (activate, or schedule arrivals)."""
+        raise NotImplementedError
+
+    def _has_work(self) -> bool:
+        """Cheap pre-check: may any run have a queued task?"""
+        raise NotImplementedError
+
+    def _next_run(self) -> WorkflowRun | None:
+        """The run whose queue feeds the next free slot (None: nothing queued)."""
+        raise NotImplementedError
+
+    def _observe(self, window_start: float, blackout: bool):
+        """The controller's observation at this tick."""
+        raise NotImplementedError
+
+    def _emit_tick(
+        self, launched: int, terminated: int, pool_before: int, observation
+    ) -> None:
+        """Emit the per-tick controller record (tick already applied)."""
+        raise NotImplementedError
+
+    def _finalize(self, completed: bool):
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # the loop
+    # ------------------------------------------------------------------
+    def _drive(
         self,
-        *,
-        checkpoint_every: int | None = None,
-        checkpoint_path: object = None,
-        stop_after_checkpoint: bool = False,
-    ) -> RunResult | None:
-        """Execute the workflow to completion and return measurements.
+        checkpoint_every: int | None,
+        checkpoint_path: object,
+        stop_after_checkpoint: bool,
+    ):
+        """Run the event loop to completion and finalize.
 
         ``checkpoint_every=N`` serializes the engine to
-        ``checkpoint_path`` at every N-th controller tick (see
-        :mod:`repro.checkpoint`); ``stop_after_checkpoint=True`` returns
-        ``None`` right after the first checkpoint. A restored simulation
-        continues where it stopped and finishes byte-identical to an
-        uninterrupted run.
+        ``checkpoint_path`` at every N-th controller tick — a
+        deterministic cut point, after the tick's decision is applied and
+        validated (see :mod:`repro.checkpoint`);
+        ``stop_after_checkpoint=True`` returns ``None`` right after the
+        first checkpoint. A restored engine continues where it stopped
+        and finishes byte-identical to an uninterrupted run.
         """
         if checkpoint_every is not None:
             check_positive("checkpoint_every", checkpoint_every)
@@ -295,10 +358,10 @@ class Simulation:
             if validator is not None:
                 validator.begin_run(self)
         completed = True
-        while not self.master.is_done():
+        while self._unfinished:
             if not self.events:
                 raise RuntimeError(
-                    "event queue drained before workflow completion "
+                    "event queue drained before the run completed "
                     f"(at t={self._now}); the pool can no longer make progress"
                 )
             event = self.events.pop()
@@ -315,7 +378,7 @@ class Simulation:
                 and event.kind is EventKind.CONTROLLER_TICK
                 and self._ticks > 0
                 and self._ticks % checkpoint_every == 0
-                and not self.master.is_done()
+                and self._unfinished
             ):
                 save_checkpoint(self, checkpoint_path)
                 if stop_after_checkpoint:
@@ -332,7 +395,7 @@ class Simulation:
         if self._trace:
             self.tracer.emit(
                 RunMetaRecord(
-                    workflow=self.workflow.name,
+                    workflow=self._label(),
                     policy=self.autoscaler.name,
                     charging_unit=self.billing.charging_unit,
                     seed=self._seed,
@@ -340,8 +403,8 @@ class Simulation:
                     max_instances=self.site.max_instances,
                     lag=self.site.lag,
                     period=self.period,
-                    n_tasks=len(self.workflow),
-                    n_stages=len(self.workflow.stages),
+                    n_tasks=sum(len(run.workflow) for run in self.runs),
+                    n_stages=sum(len(run.workflow.stages) for run in self.runs),
                     slots_per_instance=self.site.itype.slots,
                     runtime_model=getattr(
                         self.runtime_model, "name", type(self.runtime_model).__name__
@@ -366,24 +429,30 @@ class Simulation:
         if self._metrics_on:
             self.metrics.counter("instance.launched").inc(initial)
         self._record_pool_change(0.0)
-        for task_id in self.master.initially_ready():
-            if self._trace:
-                self._ready_at[task_id] = 0.0
-            self.scheduler.push(task_id, self.workflow.stage_of[task_id])
-        self._dispatch()
+        self._start()
         self.events.push(self.period, EventKind.CONTROLLER_TICK)
 
-    def _finalize(self, completed: bool) -> RunResult:
-        makespan = self._last_completion if completed else self._now
-        # Tear down whatever is still up; the run is over.
+    def _activate(self, run: WorkflowRun) -> None:
+        """Queue ``run``'s root tasks."""
+        for local in run.master.initially_ready():
+            if self._track_ready:
+                run.ready_at[local] = self._now
+            run.scheduler.push(local, run.workflow.stage_of[local])
+
+    def _run_finished(self, run: WorkflowRun) -> None:
+        self._unfinished -= 1
+
+    def _teardown(self, makespan: float) -> None:
+        """Tear down whatever is still up; the run is over."""
         for instance in self.pool:
             if instance.state is InstanceState.RUNNING:
-                for task_id in sorted(instance.occupants):
+                for scoped in sorted(instance.occupants):
                     # Only possible on an incomplete (timed-out) run.
-                    self.monitor.record_kill(task_id, makespan)
+                    run, local = self._owner[scoped]
+                    run.monitor.record_kill(local, makespan)
                     if self._trace:
-                        self._emit_attempt(task_id, "killed", makespan)
-                    instance.release(task_id, makespan)
+                        self._emit_attempt(run, local, scoped, "killed", makespan)
+                    self._release(instance, run, scoped, makespan)
                 end = max(makespan, instance.started_at or 0.0)
                 instance.mark_terminated(end)
                 if self._trace:
@@ -400,9 +469,12 @@ class Simulation:
                         )
                     )
 
-        total_units = self.pool.total_units(makespan)
+    def _utilization(self, makespan: float) -> float:
+        """Busy slot-seconds over paid slot-seconds, capped at 1."""
         busy = sum(
-            a.occupancy_elapsed(makespan) for a in self.monitor.all_attempts()
+            a.occupancy_elapsed(makespan)
+            for run in self.runs
+            for a in run.monitor.all_attempts()
         )
         paid_slot_seconds = sum(
             self.billing.units_charged(i, makespan)
@@ -411,43 +483,23 @@ class Simulation:
             for i in self.pool
         )
         utilization = busy / paid_slot_seconds if paid_slot_seconds > 0 else 0.0
-        result = RunResult(
-            workflow_name=self.workflow.name,
-            autoscaler_name=self.autoscaler.name,
-            charging_unit=self.billing.charging_unit,
-            makespan=makespan,
-            completed=completed,
-            total_units=total_units,
-            total_cost=self.pool.total_cost(makespan),
-            wasted_seconds=self.pool.total_wasted_time(makespan),
-            utilization=min(1.0, utilization),
-            peak_instances=max((c for _, c in self._timeline), default=0),
-            instances_launched=len(self.pool),
-            restarts=self.monitor.total_restarts(),
-            ticks=self._ticks,
-            controller_cpu_seconds=self._controller_seconds,
-            controller_state_bytes=self.autoscaler.state_size_bytes(),
-            events_processed=self._events_processed,
-            pool_timeline=list(self._timeline),
-            monitor=self.monitor,
-            cloud_faults=dict(self._cloud_faults),
-        )
-        if self._trace:
-            self.tracer.emit(
-                RunSummaryRecord(
-                    makespan=result.makespan,
-                    completed=result.completed,
-                    total_units=result.total_units,
-                    total_cost=result.total_cost,
-                    wasted_seconds=result.wasted_seconds,
-                    utilization=result.utilization,
-                    peak_instances=result.peak_instances,
-                    instances_launched=result.instances_launched,
-                    restarts=result.restarts,
-                    ticks=result.ticks,
-                )
+        return min(1.0, utilization)
+
+    def _emit_summary(self, result) -> None:
+        self.tracer.emit(
+            RunSummaryRecord(
+                makespan=result.makespan,
+                completed=result.completed,
+                total_units=result.total_units,
+                total_cost=result.total_cost,
+                wasted_seconds=result.wasted_seconds,
+                utilization=result.utilization,
+                peak_instances=result.peak_instances,
+                instances_launched=result.instances_launched,
+                restarts=result.restarts,
+                ticks=result.ticks,
             )
-        return result
+        )
 
     # ------------------------------------------------------------------
     # event dispatch
@@ -473,9 +525,15 @@ class Simulation:
             self._on_provision_failed(event.payload)
         elif event.kind is EventKind.PROVISION_RETRY:
             self._on_provision_retry(event.payload)
+        elif event.kind is EventKind.WORKFLOW_ARRIVAL:
+            # only an engine that schedules arrivals defines this handler
+            self._on_workflow_arrival(event.payload)
         else:  # pragma: no cover - exhaustive enum
             raise RuntimeError(f"unknown event kind {event.kind}")
 
+    # ------------------------------------------------------------------
+    # instance lifecycle
+    # ------------------------------------------------------------------
     def _on_instance_ready(self, instance_id: str) -> None:
         instance = self.pool.get(instance_id)
         instance.mark_running(self._now)
@@ -490,23 +548,42 @@ class Simulation:
         self._record_pool_change(self._now)
         self._dispatch()
 
+    def _release(
+        self, instance: Instance, run: WorkflowRun, scoped: str, now: float
+    ) -> None:
+        """Free ``scoped``'s slot, crediting its busy time to ``run``."""
+        assigned = self._assign_at.pop(scoped, None)
+        if assigned is not None:
+            key = (instance.instance_id, run.index)
+            self._run_busy[key] = self._run_busy.get(key, 0.0) + (now - assigned)
+        # release (not bulk-clear) so the pool's placement and free-slot
+        # indexes stay consistent
+        instance.release(scoped, now)
+        run.occupied_slots -= 1
+
+    def _kill_occupant(
+        self, instance: Instance, scoped: str, *, failed: bool = False
+    ) -> None:
+        """Kill one occupant, requeue it with its run, free the slot."""
+        run, local = self._owner[scoped]
+        pending = self._pending_task_event.pop(scoped, None)
+        if pending is not None:
+            self.events.cancel(pending)
+        run.monitor.record_kill(local, self._now, failed=failed)
+        if self._trace:
+            self._emit_attempt(
+                run, local, scoped, "failed" if failed else "killed", self._now
+            )
+        if self._track_ready:
+            run.ready_at[local] = self._now
+        run.master.mark_killed(local)
+        run.scheduler.push(local, run.workflow.stage_of[local], requeue=True)
+        self._release(instance, run, scoped, self._now)
+
     def _on_instance_terminate(self, instance_id: str) -> None:
         instance = self.pool.get(instance_id)
-        for task_id in sorted(instance.occupants):
-            pending = self._pending_task_event.pop(task_id, None)
-            if pending is not None:
-                self.events.cancel(pending)
-            self.monitor.record_kill(task_id, self._now)
-            if self._trace:
-                self._emit_attempt(task_id, "killed", self._now)
-                self._ready_at[task_id] = self._now
-            self.master.mark_killed(task_id)
-            self.scheduler.push(
-                task_id, self.workflow.stage_of[task_id], requeue=True
-            )
-            # release (not bulk-clear) so the pool's placement and
-            # free-slot indexes stay consistent
-            instance.release(task_id, self._now)
+        for scoped in sorted(instance.occupants):
+            self._kill_occupant(instance, scoped)
         instance.mark_terminated(self._now)
         if self._chaos_injector is not None:
             # a planned release retracts any not-yet-fired revocation
@@ -555,33 +632,23 @@ class Simulation:
     def _on_instance_revoked(self, instance_id: str) -> None:
         """The provider preempts ``instance_id`` (spot-style revocation).
 
-        Mirrors a planned termination — occupants are killed and requeued
-        — except the instance had no say: any scheduled release is
-        retracted, the instance is flagged ``revoked``, and billing stops
-        at the revocation boundary (``mark_terminated(now)`` caps the
-        billable uptime).
+        Mirrors a planned termination — occupants are killed and requeued,
+        whichever runs they belong to — except the instance had no say:
+        any scheduled release is retracted, the instance is flagged
+        ``revoked``, and billing stops at the revocation boundary
+        (``mark_terminated(now)`` caps the billable uptime).
         """
         instance = self.pool.get(instance_id)
         if instance.state is not InstanceState.RUNNING:
             return  # defensive: planned releases cancel revocation events
         killed = 0
         lost_occupancy = 0.0
-        for task_id in sorted(instance.occupants):
-            pending = self._pending_task_event.pop(task_id, None)
-            if pending is not None:
-                self.events.cancel(pending)
-            lost_occupancy += self.monitor.current_attempt(
-                task_id
+        for scoped in sorted(instance.occupants):
+            run, local = self._owner[scoped]
+            lost_occupancy += run.monitor.current_attempt(
+                local
             ).occupancy_elapsed(self._now)
-            self.monitor.record_kill(task_id, self._now)
-            if self._trace:
-                self._emit_attempt(task_id, "killed", self._now)
-                self._ready_at[task_id] = self._now
-            self.master.mark_killed(task_id)
-            self.scheduler.push(
-                task_id, self.workflow.stage_of[task_id], requeue=True
-            )
-            instance.release(task_id, self._now)
+            self._kill_occupant(instance, scoped)
             killed += 1
         if instance_id in self._draining:
             self.events.cancel_for_payload(
@@ -682,15 +749,19 @@ class Simulation:
     def _count_fault(self, key: str, n: int = 1) -> None:
         self._cloud_faults[key] = self._cloud_faults.get(key, 0) + n
 
-    def _on_stage_in_done(self, task_id: str) -> None:
-        self.master.mark_executing(task_id)
-        self.monitor.record_exec_start(task_id, self._now)
-        instance = self.pool.instance_of_task(task_id)
-        assert instance is not None, f"executing task {task_id} has no instance"
-        task = self.workflow.task(task_id)
-        attempt = self.master.attempts(task_id)
+    # ------------------------------------------------------------------
+    # task lifecycle
+    # ------------------------------------------------------------------
+    def _on_stage_in_done(self, scoped: str) -> None:
+        run, local = self._owner[scoped]
+        run.master.mark_executing(local)
+        run.monitor.record_exec_start(local, self._now)
+        instance = self.pool.instance_of_task(scoped)
+        assert instance is not None, f"executing task {scoped} has no instance"
+        task = run.workflow.task(local)
+        attempt = run.master.attempts(local)
         duration = self.runtime_model.execution_time(
-            task, instance, attempt, self._rng_runtime
+            task, instance, attempt, run.rng_runtime
         )
         if self._chaos_injector is not None and instance.slowdown != 1.0:
             # Straggler stretch applied outside the runtime model so the
@@ -698,65 +769,65 @@ class Simulation:
             # fault model below sees the stretched (real) duration.
             duration *= instance.slowdown
         failure = self.fault_model.failure_offset(
-            task, instance, attempt, duration, self._rng_faults
+            task, instance, attempt, duration, run.rng_faults
         )
         if failure is not None and failure < duration:
-            self._pending_task_event[task_id] = self.events.push(
-                self._now + failure, EventKind.TASK_FAILED, task_id
+            self._pending_task_event[scoped] = self.events.push(
+                self._now + failure, EventKind.TASK_FAILED, scoped
             )
         else:
-            self._pending_task_event[task_id] = self.events.push(
-                self._now + duration, EventKind.EXEC_DONE, task_id
+            self._pending_task_event[scoped] = self.events.push(
+                self._now + duration, EventKind.EXEC_DONE, scoped
             )
 
-    def _on_exec_done(self, task_id: str) -> None:
-        self.master.mark_staging_out(task_id)
-        self.monitor.record_exec_end(task_id, self._now)
+    def _on_exec_done(self, scoped: str) -> None:
+        run, local = self._owner[scoped]
+        run.master.mark_staging_out(local)
+        run.monitor.record_exec_end(local, self._now)
         duration = self.transfer_model.stage_out_time(
-            self.workflow.task(task_id), self._rng_transfer
+            run.workflow.task(local), run.rng_transfer
         )
-        self._pending_task_event[task_id] = self.events.push(
-            self._now + duration, EventKind.STAGE_OUT_DONE, task_id
+        self._pending_task_event[scoped] = self.events.push(
+            self._now + duration, EventKind.STAGE_OUT_DONE, scoped
         )
 
-    def _on_stage_out_done(self, task_id: str) -> None:
-        self._pending_task_event.pop(task_id, None)
-        self.monitor.record_complete(task_id, self._now)
+    def _on_stage_out_done(self, scoped: str) -> None:
+        run, local = self._owner[scoped]
+        self._pending_task_event.pop(scoped, None)
+        run.monitor.record_complete(local, self._now)
         if self._trace:
-            self._emit_attempt(task_id, "completed", self._now)
+            self._emit_attempt(run, local, scoped, "completed", self._now)
         if self._metrics_on:
-            attempt = self.monitor.current_attempt(task_id)
+            attempt = run.monitor.current_attempt(local)
             self.metrics.counter("task.completed").inc()
             if attempt.execution_time is not None:
                 self.metrics.histogram("task.runtime_seconds").observe(
                     attempt.execution_time
                 )
-        instance = self.pool.instance_of_task(task_id)
-        assert instance is not None, f"completing task {task_id} has no instance"
-        instance.release(task_id, self._now)
+        instance = self.pool.instance_of_task(scoped)
+        assert instance is not None, f"completing task {scoped} has no instance"
+        self._release(instance, run, scoped, self._now)
         self._last_completion = self._now
-        for child in self.master.mark_completed(task_id):
-            if self._trace:
-                self._ready_at[child] = self._now
-            self.scheduler.push(child, self.workflow.stage_of[child])
+        for child in run.master.mark_completed(local):
+            if self._track_ready:
+                run.ready_at[child] = self._now
+            run.scheduler.push(child, run.workflow.stage_of[child])
+        if run.master.is_done():
+            self._run_finished(run)
         self._dispatch()
 
-    def _on_task_failed(self, task_id: str) -> None:
+    def _on_task_failed(self, scoped: str) -> None:
         """An attempt died mid-execution: the framework resubmits it."""
-        self._pending_task_event.pop(task_id, None)
-        instance = self.pool.instance_of_task(task_id)
-        assert instance is not None, f"failed task {task_id} has no instance"
-        self.monitor.record_kill(task_id, self._now, failed=True)
-        if self._trace:
-            self._emit_attempt(task_id, "failed", self._now)
-            self._ready_at[task_id] = self._now
-        self.master.mark_killed(task_id)
-        instance.release(task_id, self._now)
-        self.scheduler.push(task_id, self.workflow.stage_of[task_id], requeue=True)
+        instance = self.pool.instance_of_task(scoped)
+        assert instance is not None, f"failed task {scoped} has no instance"
+        self._kill_occupant(instance, scoped, failed=True)
         self._dispatch()
 
+    # ------------------------------------------------------------------
+    # controller tick
+    # ------------------------------------------------------------------
     def _on_controller_tick(self) -> None:
-        if self.master.is_done():
+        if not self._unfinished:
             return
         blackout = False
         window_start = self._last_tick_time
@@ -780,19 +851,7 @@ class Simulation:
             elif self._observe_from is not None:
                 window_start = self._observe_from
                 self._observe_from = None
-        observation = Observation(
-            now=self._now,
-            window_start=window_start,
-            workflow=self.workflow,
-            master=self.master,
-            monitor=self.monitor,
-            pool=self.pool,
-            billing=self.billing,
-            site=self.site,
-            queued_task_ids=self.scheduler.snapshot(),
-            draining_ids=frozenset(self._draining),
-            monitor_blackout=blackout,
-        )
+        observation = self._observe(window_start, blackout)
         pool_before = self.pool.active_size() - len(self._draining)
         started = _time.perf_counter()
         decision = self.autoscaler.plan(observation)
@@ -802,7 +861,7 @@ class Simulation:
         self._last_tick_time = self._now
         terminated = self._apply_decision(decision)
         if self._trace:
-            self._emit_tick(decision.launch, terminated, pool_before)
+            self._emit_tick(decision.launch, terminated, pool_before, observation)
         if self._metrics_on:
             self.metrics.histogram("controller.plan_seconds").observe(elapsed)
             self.metrics.gauge("pool.running").set(self.pool.running_count())
@@ -892,63 +951,72 @@ class Simulation:
     # ------------------------------------------------------------------
     # task dispatch
     # ------------------------------------------------------------------
-    def _dispatchable_instance(self) -> Instance | None:
-        """Pick the fullest running, non-draining instance with a free slot.
-
-        Packing tightly (fewest free slots first) keeps marginal instances
-        empty so the steering policy can release them cheaply. Served from
-        the pool's incrementally maintained free-slot index rather than a
-        scan over every instance ever launched.
-        """
-        return self.pool.best_dispatchable(self._draining)
-
     def _dispatch(self) -> None:
-        while len(self.scheduler) > 0:
-            instance = self._dispatchable_instance()
+        """Feed free slots from the runs' queues.
+
+        Each slot goes to the fullest running, non-draining instance:
+        packing tightly (fewest free slots first) keeps marginal
+        instances empty so the steering policy can release them cheaply.
+        The pool serves it from its free-slot index rather than a scan
+        over every instance ever launched.
+        """
+        while self._has_work():
+            instance = self.pool.best_dispatchable(self._draining)
             if instance is None:
                 return
-            task_id = self.scheduler.pop()
-            assert task_id is not None
-            task = self.workflow.task(task_id)
-            instance.assign(task_id, self._now)
-            self.master.mark_dispatched(task_id)
-            self.monitor.record_dispatch(
-                task_id,
-                self.workflow.stage_of[task_id],
+            run = self._next_run()
+            if run is None:
+                return
+            local = run.scheduler.pop()
+            assert local is not None
+            scoped = run.scoped(local)
+            task = run.workflow.task(local)
+            instance.assign(scoped, self._now)
+            run.occupied_slots += 1
+            self._assign_at[scoped] = self._now
+            run.master.mark_dispatched(local)
+            ready = run.ready_at.pop(local, None)
+            if ready is not None:
+                run.queue_waits.append(self._now - ready)
+            run.monitor.record_dispatch(
+                local,
+                run.workflow.stage_of[local],
                 instance.instance_id,
                 self._now,
                 task.input_size,
                 task.output_size,
-                ready_time=self._ready_at.pop(task_id, None) if self._trace else None,
+                ready_time=ready,
             )
-            duration = self._stage_in_duration(task, instance)
-            self._pending_task_event[task_id] = self.events.push(
-                self._now + duration, EventKind.STAGE_IN_DONE, task_id
+            duration = self._stage_in_duration(run, task, instance)
+            self._pending_task_event[scoped] = self.events.push(
+                self._now + duration, EventKind.STAGE_IN_DONE, scoped
             )
 
-    def _stage_in_duration(self, task, instance: Instance) -> float:
+    def _stage_in_duration(self, run: WorkflowRun, task, instance: Instance) -> float:
         """Sample the stage-in time, with placement awareness when the
         transfer model supports it (see LocalityTransferModel)."""
         placed = getattr(self.transfer_model, "stage_in_time_placed", None)
         if placed is None:
-            return self.transfer_model.stage_in_time(task, self._rng_transfer)
+            return self.transfer_model.stage_in_time(task, run.rng_transfer)
         return placed(
             task,
-            self._local_input_fraction(task, instance),
-            self._rng_transfer,
+            self._local_input_fraction(run, task, instance),
+            run.rng_transfer,
         )
 
-    def _local_input_fraction(self, task, instance: Instance) -> float:
+    def _local_input_fraction(
+        self, run: WorkflowRun, task, instance: Instance
+    ) -> float:
         """Fraction of input bytes produced on ``instance`` by parents."""
-        parents = self.workflow.parents(task.task_id)
+        parents = run.workflow.parents(task.task_id)
         if not parents:
             return 0.0
         total = 0.0
         local = 0.0
         for parent_id in parents:
-            parent = self.workflow.task(parent_id)
+            parent = run.workflow.task(parent_id)
             total += parent.output_size
-            attempts = self.monitor.attempts(parent_id)
+            attempts = run.monitor.attempts(parent_id)
             final = next((a for a in reversed(attempts) if a.is_completed), None)
             if final is not None and final.instance_id == instance.instance_id:
                 local += parent.output_size
@@ -959,17 +1027,19 @@ class Simulation:
     # ------------------------------------------------------------------
     # trace emission (call sites are guarded by ``self._trace``)
     # ------------------------------------------------------------------
-    def _emit_attempt(self, task_id: str, outcome: str, now: float) -> None:
+    def _emit_attempt(
+        self, run: WorkflowRun, local: str, scoped: str, outcome: str, now: float
+    ) -> None:
         """Emit the closing record for a task attempt.
 
         Called after the monitor closed the attempt (complete/kill), so
         the derived timings below are final.
         """
-        attempt = self.monitor.current_attempt(task_id)
+        attempt = run.monitor.current_attempt(local)
         self.tracer.emit(
             TaskAttemptRecord(
                 now=now,
-                task_id=task_id,
+                task_id=scoped,
                 stage_id=attempt.stage_id,
                 attempt=attempt.attempt,
                 instance_id=attempt.instance_id,
@@ -1001,8 +1071,166 @@ class Simulation:
             )
         )
 
-    def _emit_tick(self, launched: int, terminated: int, pool_before: int) -> None:
-        """Emit the per-tick controller record (tick already applied)."""
+    # ------------------------------------------------------------------
+    # bookkeeping
+    # ------------------------------------------------------------------
+    def _record_pool_change(self, now: float) -> None:
+        count = self.pool.running_count()
+        if self._timeline and self._timeline[-1][0] == now:
+            self._timeline[-1] = (now, count)
+        else:
+            self._timeline.append((now, count))
+
+
+class Simulation(EngineCore):
+    """One workflow run under one autoscaling policy.
+
+    Parameters
+    ----------
+    workflow, site, autoscaler:
+        What to run, where, and under which pool-sizing policy.
+    charging_unit:
+        Billing unit *u* in seconds.
+    transfer_model, runtime_model:
+        Ground-truth generators for transfers and execution times.
+    controller_period:
+        MAPE iteration period; defaults to the site's lag as the paper
+        prescribes (§III-A).
+    boost_k:
+        First-*k* per-stage priority boost (paper: 5).
+    seed:
+        Root seed for all stochastic models.
+    max_time:
+        Safety horizon; the run is marked incomplete if it exceeds this.
+    tracer:
+        Structured trace destination (:mod:`repro.telemetry`). Defaults to
+        the shared null tracer; every emission site is guarded by a single
+        cached boolean, so untraced runs pay one attribute check per
+        *potential* record, never record construction.
+    metrics:
+        Counter/gauge/histogram registry; defaults to the shared no-op
+        registry with the same cached-boolean fast path.
+    chaos:
+        Cloud-fault injection spec (:mod:`repro.cloud.faults`). ``None``
+        or a disabled spec leaves the run bit-identical to one with no
+        chaos wiring at all: no chaos RNG sub-stream is derived (child
+        streams are label-hashed, so the other streams are unaffected
+        either way), no chaos events are scheduled, and every chaos call
+        site is guarded by a single ``is not None`` check.
+    validate:
+        Runtime invariant checking (:mod:`repro.validate`). ``None`` or
+        ``False`` (default) disables it with the same zero-cost contract
+        as chaos — one ``is not None`` check per event, bit-identical
+        results. ``True`` attaches a default raise-mode
+        :class:`~repro.validate.checker.InvariantChecker`; an explicit
+        checker instance is used as-is (pass ``mode="collect"`` to
+        gather violations instead of stopping at the first).
+    """
+
+    kind = "single"
+
+    def __init__(
+        self,
+        workflow: Workflow,
+        site: CloudSite,
+        autoscaler: Autoscaler,
+        charging_unit: float,
+        *,
+        transfer_model: DataTransferModel | None = None,
+        runtime_model: TaskRuntimeModel | None = None,
+        fault_model: FaultModel | None = None,
+        controller_period: float | None = None,
+        boost_k: int = 5,
+        scheduler: FifoScheduler | None = None,
+        launch_jitter: float = 0.0,
+        seed: int = 0,
+        max_time: float = 1e8,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+        chaos: ChaosSpec | None = None,
+        validate: object = None,
+    ) -> None:
+        rng = RngStream(seed=seed, label="simulation")
+        super().__init__(
+            rng,
+            site,
+            autoscaler,
+            charging_unit,
+            transfer_model=transfer_model,
+            runtime_model=runtime_model,
+            fault_model=fault_model,
+            controller_period=controller_period,
+            launch_jitter=launch_jitter,
+            max_time=max_time,
+            tracer=tracer,
+            metrics=metrics,
+            chaos=chaos,
+            validate=validate,
+        )
+        self.workflow = workflow
+        # A custom scheduler models §III-D's dispatch-order drift; the
+        # default is the FIFO order the steering policy assumes.
+        self._run = WorkflowRun(
+            workflow=workflow,
+            scheduler=scheduler if scheduler is not None else FifoScheduler(
+                boost_k=boost_k
+            ),
+            **run_streams(rng),
+        )
+        self._add_run(self._run)
+        self.master = self._run.master
+        self.monitor = self._run.monitor
+        self.scheduler = self._run.scheduler
+
+    def run(
+        self,
+        *,
+        checkpoint_every: int | None = None,
+        checkpoint_path: object = None,
+        stop_after_checkpoint: bool = False,
+    ) -> RunResult | None:
+        """Execute the workflow to completion and return measurements.
+
+        ``checkpoint_every=N`` serializes the engine to
+        ``checkpoint_path`` at every N-th controller tick (see
+        :mod:`repro.checkpoint`); ``stop_after_checkpoint=True`` returns
+        ``None`` right after the first checkpoint. A restored simulation
+        continues where it stopped and finishes byte-identical to an
+        uninterrupted run.
+        """
+        return self._drive(checkpoint_every, checkpoint_path, stop_after_checkpoint)
+
+    def _label(self) -> str:
+        return self.workflow.name
+
+    def _start(self) -> None:
+        self._activate(self._run)
+        self._dispatch()
+
+    def _has_work(self) -> bool:
+        return len(self.scheduler) > 0
+
+    def _next_run(self) -> WorkflowRun:
+        return self._run
+
+    def _observe(self, window_start: float, blackout: bool) -> Observation:
+        return Observation(
+            now=self._now,
+            window_start=window_start,
+            workflow=self.workflow,
+            master=self.master,
+            monitor=self.monitor,
+            pool=self.pool,
+            billing=self.billing,
+            site=self.site,
+            queued_task_ids=self.scheduler.snapshot(),
+            draining_ids=frozenset(self._draining),
+            monitor_blackout=blackout,
+        )
+
+    def _emit_tick(
+        self, launched: int, terminated: int, pool_before: int, observation
+    ) -> None:
         counts = self.master.state_counts()
         in_flight = sum(counts[s] for s in TaskExecState if s.occupies_slot)
         branch = "grow" if launched > 0 else ("shrink" if terminated > 0 else "hold")
@@ -1032,12 +1260,30 @@ class Simulation:
             )
         )
 
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _record_pool_change(self, now: float) -> None:
-        count = self.pool.running_count()
-        if self._timeline and self._timeline[-1][0] == now:
-            self._timeline[-1] = (now, count)
-        else:
-            self._timeline.append((now, count))
+    def _finalize(self, completed: bool) -> RunResult:
+        makespan = self._last_completion if completed else self._now
+        self._teardown(makespan)
+        result = RunResult(
+            workflow_name=self.workflow.name,
+            autoscaler_name=self.autoscaler.name,
+            charging_unit=self.billing.charging_unit,
+            makespan=makespan,
+            completed=completed,
+            total_units=self.pool.total_units(makespan),
+            total_cost=self.pool.total_cost(makespan),
+            wasted_seconds=self.pool.total_wasted_time(makespan),
+            utilization=self._utilization(makespan),
+            peak_instances=max((c for _, c in self._timeline), default=0),
+            instances_launched=len(self.pool),
+            restarts=self.monitor.total_restarts(),
+            ticks=self._ticks,
+            controller_cpu_seconds=self._controller_seconds,
+            controller_state_bytes=self.autoscaler.state_size_bytes(),
+            events_processed=self._events_processed,
+            pool_timeline=list(self._timeline),
+            monitor=self.monitor,
+            cloud_faults=dict(self._cloud_faults),
+        )
+        if self._trace:
+            self._emit_summary(result)
+        return result

@@ -48,7 +48,6 @@ from repro.fleet.policies import (
     allocation_policy,
 )
 from repro.fleet.result import FleetResult
-from repro.fleet.shard import ShardedEventQueue, TenantShardRouter, shard_of
 from repro.fleet.tenant import TenantResult, TenantRun
 
 __all__ = [
@@ -67,11 +66,9 @@ __all__ = [
     "GlobalWireAutoscaler",
     "PoissonArrivals",
     "PriorityPolicy",
-    "ShardedEventQueue",
     "Submission",
     "TenantResult",
     "TenantRun",
-    "TenantShardRouter",
     "TraceArrivals",
     "allocation_policy",
     "fleet_autoscaler",
@@ -80,5 +77,4 @@ __all__ = [
     "make_arrivals",
     "resume_fleet",
     "run_fleet",
-    "shard_of",
 ]

@@ -2,9 +2,12 @@
 
 Runs N concurrent workflow submissions on ONE shared
 :class:`~repro.cloud.site.CloudSite` / pool / billing clock, driven by a
-single :class:`~repro.engine.events.EventQueue`. Each tenant keeps the
-full single-workflow control stack (framework master, monitor, FIFO task
-queue); the fleet adds three things on top:
+single :class:`~repro.engine.events.EventQueue`. It is the same
+:class:`~repro.engine.simulator.EngineCore` the single-workflow
+:class:`~repro.engine.simulator.Simulation` runs on — one event loop,
+one set of instance, task, chaos and decision handlers — driving one
+:class:`~repro.fleet.tenant.TenantRun` per submission instead of one
+plain run. What the fleet adds on top:
 
 - an arrival loop (``WORKFLOW_ARRIVAL`` events admit tenants, optionally
   gated by an admission cap),
@@ -12,13 +15,13 @@ queue); the fleet adds three things on top:
   AllocationPolicy` decides which tenant's queue feeds each free slot),
 - a global steering tick (a :class:`~repro.fleet.autoscalers.
   FleetAutoscaler` sizes the shared pool from the summed per-tenant
-  forecasts).
+  forecasts),
+- finalization into a :class:`~repro.fleet.result.FleetResult` with the
+  shared bill attributed back to tenants.
 
 Task ids are *scoped* (``"t03:stage_2_7"``) on the shared pool and event
-queue and *local* inside each tenant's structures; ``_owner`` translates.
-The single-workflow :class:`~repro.engine.simulator.Simulation` is left
-untouched — fleet mode is a separate entry point sharing its primitives,
-and the golden single-workflow suite stays bit-identical.
+queue and *local* inside each tenant's structures; the core's ownership
+map translates.
 
 Determinism mirrors the single-workflow engine: every stochastic model
 draws from a per-tenant labelled sub-stream, simultaneous events fire in
@@ -28,40 +31,25 @@ fleet run is a pure function of its configuration and seed.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Mapping, Sequence
 
-from repro.cloud.faults import ChaosInjector, ChaosSpec
-from repro.cloud.billing import BillingModel
-from repro.cloud.instance import Instance, InstanceState
-from repro.cloud.pool import InstancePool
-from repro.cloud.provisioner import Provisioner
+from repro.cloud.faults import ChaosSpec
 from repro.cloud.site import CloudSite
 from repro.dag.workflow import Workflow
-from repro.engine.control import ScalingDecision
-from repro.engine.events import Event, EventKind, EventQueue
-from repro.engine.faults import FaultModel, NoFaults
-from repro.engine.runtime import NominalRuntimeModel, TaskRuntimeModel
-from repro.engine.simulator import _make_validator
-from repro.engine.transfer import DataTransferModel, NoTransferModel
+from repro.engine.events import EventKind
+from repro.engine.faults import FaultModel
+from repro.engine.runtime import TaskRuntimeModel
+from repro.engine.scheduler import FifoScheduler
+from repro.engine.simulator import EngineCore, run_streams
+from repro.engine.transfer import DataTransferModel
 from repro.fleet.arrivals import Submission
 from repro.fleet.autoscalers import FleetAutoscaler, FleetObservation
 from repro.fleet.policies import AllocationPolicy
 from repro.fleet.result import FleetResult
-from repro.fleet.shard import ShardedEventQueue, TenantShardRouter
 from repro.fleet.tenant import TenantResult, TenantRun
-from repro.telemetry.records import (
-    CloudFaultRecord,
-    FleetTickRecord,
-    InstanceEventRecord,
-    RunMetaRecord,
-    RunSummaryRecord,
-    TaskAttemptRecord,
-    TenantRecord,
-)
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.records import FleetTickRecord, TenantRecord
+from repro.telemetry.tracer import Tracer
 from repro.util.rng import RngStream
-from repro.util.validation import check_positive
 
 __all__ = ["FleetSimulation"]
 
@@ -86,7 +74,7 @@ def _realize(workload: object, seed: int) -> Workflow:
     )
 
 
-class FleetSimulation:
+class FleetSimulation(EngineCore):
     """One multi-tenant fleet run under one global autoscaling policy.
 
     Parameters
@@ -114,14 +102,12 @@ class FleetSimulation:
         engine: ``None``/``False`` (default) stores no checker and pays
         one ``is not None`` check per event; ``True`` attaches a default
         raise-mode checker; a checker instance is used as-is.
-    shards:
-        Partition the event queue across this many per-site shards
-        (:mod:`repro.fleet.shard`); tenants hash onto shards by id and
-        pops run a deterministic cross-shard merge, so any shard count
-        yields bit-identical results to the default single queue.
 
-    Other parameters mirror :class:`~repro.engine.simulator.Simulation`.
+    Other parameters mirror :class:`~repro.engine.simulator.Simulation`;
+    ``boost_k`` sets every tenant's first-*k* stage boost.
     """
+
+    kind = "fleet"
 
     def __init__(
         self,
@@ -144,51 +130,36 @@ class FleetSimulation:
         tracer: Tracer | None = None,
         chaos: ChaosSpec | None = None,
         validate: object = None,
-        shards: int = 1,
     ) -> None:
-        check_positive("charging_unit", charging_unit)
-        check_positive("max_time", max_time)
         if not submissions:
             raise ValueError("a fleet needs at least one submission")
         if max_active is not None and max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
-        self.site = site
-        self.autoscaler = autoscaler
-        self.policy = policy
-        self.billing = BillingModel(charging_unit)
-        self.transfer_model = transfer_model or NoTransferModel()
-        self.runtime_model = runtime_model or NominalRuntimeModel()
-        self.fault_model = fault_model or NoFaults()
-        self.period = controller_period if controller_period is not None else site.lag
-        check_positive("controller_period", self.period)
-        if not 0.0 <= launch_jitter <= 1.0:
-            raise ValueError(
-                f"launch_jitter must be in [0, 1], got {launch_jitter!r}"
-            )
-        self.launch_jitter = launch_jitter
-        self.max_time = max_time
-        self.max_active = max_active
-        self._seed = seed
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace = self.tracer.enabled
-
         rng = RngStream(seed=seed, label="fleet")
-        self._rng_launch = rng.child("launch").generator()
-        self.chaos = chaos
-        if chaos is not None and chaos.enabled:
-            self._chaos_injector: ChaosInjector | None = ChaosInjector(
-                chaos, rng.child("chaos").generator()
-            )
-        else:
-            self._chaos_injector = None
-        self.validator = _make_validator(validate)
-        self._cloud_faults: dict[str, int] = {}
-        self._provision_attempts: dict[str, int] = {}
+        super().__init__(
+            rng,
+            site,
+            autoscaler,
+            charging_unit,
+            transfer_model=transfer_model,
+            runtime_model=runtime_model,
+            fault_model=fault_model,
+            controller_period=controller_period,
+            launch_jitter=launch_jitter,
+            max_time=max_time,
+            tracer=tracer,
+            metrics=None,
+            chaos=chaos,
+            validate=validate,
+        )
+        self.policy = policy
+        self.max_active = max_active
+        # Tenant queue waits feed FleetResult, so they are always tracked.
+        self._track_ready = True
 
         # Realize every tenant up front: workflows, per-tenant RNG
-        # sub-streams, and the scoped-id ownership index.
-        self.tenants: list[TenantRun] = []
-        self._owner: dict[str, tuple[TenantRun, str]] = {}
+        # sub-streams, and the scoped-id ownership entries.
+        self.tenants: list[TenantRun] = self.runs
         for index, submission in enumerate(sorted(
             submissions, key=lambda s: (s.submit_time, s.tenant_id)
         )):
@@ -199,57 +170,19 @@ class FleetSimulation:
                     f"submission {submission.tenant_id!r} names unknown "
                     f"workload {submission.workload!r}"
                 )
-            tenant_rng = rng.child(submission.tenant_id)
-            tenant = TenantRun(
-                index=index,
-                submission=submission,
-                workflow=_realize(workload, submission.workflow_seed),
-                rng_transfer=tenant_rng.child("transfer").generator(),
-                rng_runtime=tenant_rng.child("runtime").generator(),
-                rng_faults=tenant_rng.child("faults").generator(),
+            self._add_run(
+                TenantRun(
+                    index=index,
+                    submission=submission,
+                    workflow=_realize(workload, submission.workflow_seed),
+                    scheduler=FifoScheduler(boost_k=boost_k),
+                    **run_streams(rng.child(submission.tenant_id)),
+                )
             )
-            self.tenants.append(tenant)
-            for local in tenant.workflow.tasks:
-                self._owner[tenant.scoped(local)] = (tenant, local)
 
-        self.pool = InstancePool(site.itype, self.billing)
-        self.provisioner = Provisioner(site, self.pool)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        if shards > 1:
-            router = TenantShardRouter.for_tenants(
-                shards, tuple(t.tenant_id for t in self.tenants)
-            )
-            self.events: EventQueue | ShardedEventQueue = ShardedEventQueue(
-                shards, router
-            )
-        else:
-            self.events = EventQueue()
-        self.boost_k = boost_k
-
-        self._started = False
-        self._now = 0.0
-        self._events_processed = 0
-        self._arrivals_pending = len(self.tenants)
         self._active: dict[int, TenantRun] = {}
         self._waiting: list[TenantRun] = []
-        self._draining: set[str] = set()
-        self._pending_task_event: dict[str, Event] = {}
-        #: scoped task id -> slot assignment time (busy-share attribution)
-        self._assign_at: dict[str, float] = {}
-        #: (instance_id, tenant index) -> busy slot-seconds accrued
-        self._tenant_busy: dict[tuple[str, int], float] = {}
-        self._timeline: list[tuple[float, int]] = []
-        self._last_completion = 0.0
-        self._ticks = 0
-        self._controller_seconds = 0.0
-        self._last_tick_time = 0.0
-        self._observe_from: float | None = None
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def run(
         self,
         *,
@@ -269,127 +202,117 @@ class FleetSimulation:
         simulation continues from the cut; the completed run is
         byte-identical to an uninterrupted one.
         """
-        if checkpoint_every is not None:
-            check_positive("checkpoint_every", checkpoint_every)
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_every requires a checkpoint_path")
-            from repro.checkpoint import save_checkpoint
-        validator = self.validator
-        if not self._started:
-            self._started = True
-            self._bootstrap()
-            if validator is not None:
-                validator.begin_run(self)
-        completed = True
-        while not self._fleet_done():
-            if not self.events:
-                raise RuntimeError(
-                    "event queue drained before fleet completion "
-                    f"(at t={self._now}); the pool can no longer make progress"
-                )
-            event = self.events.pop()
-            if event.time > self.max_time:
-                completed = False
-                break
-            self._now = event.time
-            self._events_processed += 1
-            self._handle(event)
-            if validator is not None:
-                validator.after_event(self, event)
-            if (
-                checkpoint_every is not None
-                and event.kind is EventKind.CONTROLLER_TICK
-                and self._ticks > 0
-                and self._ticks % checkpoint_every == 0
-                and not self._fleet_done()
-            ):
-                save_checkpoint(self, checkpoint_path)
-                if stop_after_checkpoint:
-                    return None
-        result = self._finalize(completed)
-        if validator is not None:
-            validator.check_final(self, result)
-        return result
+        return self._drive(checkpoint_every, checkpoint_path, stop_after_checkpoint)
 
-    def _fleet_done(self) -> bool:
-        return (
-            self._arrivals_pending == 0
-            and not self._active
-            and not self._waiting
-        )
+    def _label(self) -> str:
+        return f"fleet:{len(self.tenants)}"
 
     # ------------------------------------------------------------------
-    # setup / teardown
+    # arrivals / admission
     # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        if self._trace:
-            self.tracer.emit(
-                RunMetaRecord(
-                    workflow=f"fleet:{len(self.tenants)}",
-                    policy=self.autoscaler.name,
-                    charging_unit=self.billing.charging_unit,
-                    seed=self._seed,
-                    site=self.site.name,
-                    max_instances=self.site.max_instances,
-                    lag=self.site.lag,
-                    period=self.period,
-                    n_tasks=sum(len(t.workflow) for t in self.tenants),
-                    n_stages=sum(len(t.workflow.stages) for t in self.tenants),
-                    slots_per_instance=self.site.itype.slots,
-                    runtime_model=getattr(
-                        self.runtime_model, "name", type(self.runtime_model).__name__
-                    ),
-                )
-            )
-        initial = self.autoscaler.initial_pool_size(self.site)
-        initial = max(self.site.min_instances, min(initial, self.site.max_instances))
-        for _ in range(initial):
-            instance = self.pool.create(now=0.0)
-            instance.mark_running(0.0)
-            if self._chaos_injector is not None:
-                self._chaos_instance_started(instance)
-            if self._trace:
-                iid = instance.instance_id
-                self.tracer.emit(
-                    InstanceEventRecord(now=0.0, instance_id=iid, event="requested")
-                )
-                self.tracer.emit(
-                    InstanceEventRecord(now=0.0, instance_id=iid, event="provisioned")
-                )
-        self._record_pool_change(0.0)
+    def _start(self) -> None:
         for tenant in self.tenants:
             self.events.push(
                 tenant.submitted_at, EventKind.WORKFLOW_ARRIVAL, tenant.index
             )
-        self.events.push(self.period, EventKind.CONTROLLER_TICK)
 
+    def _on_workflow_arrival(self, index: int) -> None:
+        tenant = self.tenants[index]
+        if self.max_active is not None and len(self._active) >= self.max_active:
+            self._waiting.append(tenant)
+            return
+        self._activate(tenant)
+        self._dispatch()
+
+    def _activate(self, tenant: TenantRun) -> None:
+        tenant.started_at = self._now
+        self._active[tenant.index] = tenant
+        super()._activate(tenant)
+
+    def _run_finished(self, tenant: TenantRun) -> None:
+        super()._run_finished(tenant)
+        tenant.finished_at = self._now
+        del self._active[tenant.index]
+        # Fill freed admission slots in allocation-policy order.
+        while self._waiting and (
+            self.max_active is None or len(self._active) < self.max_active
+        ):
+            waiting = self.policy.choose(self._waiting)
+            self._waiting.remove(waiting)
+            self._activate(waiting)
+
+    # ------------------------------------------------------------------
+    # the allocation-policy step
+    # ------------------------------------------------------------------
+    def _has_work(self) -> bool:
+        return bool(self._active)
+
+    def _next_run(self) -> TenantRun | None:
+        candidates = [
+            tenant
+            for tenant in self._active.values()
+            if len(tenant.scheduler) > 0
+        ]
+        if not candidates:
+            return None
+        return self.policy.choose(candidates)
+
+    # ------------------------------------------------------------------
+    # global steering
+    # ------------------------------------------------------------------
+    def _observe(self, window_start: float, blackout: bool) -> FleetObservation:
+        return FleetObservation(
+            now=self._now,
+            window_start=window_start,
+            tenants=tuple(self._active[index] for index in sorted(self._active)),
+            waiting_count=len(self._waiting),
+            pool=self.pool,
+            billing=self.billing,
+            site=self.site,
+            owner=self._owner,
+            draining_ids=frozenset(self._draining),
+            monitor_blackout=blackout,
+        )
+
+    def _emit_tick(
+        self,
+        launched: int,
+        terminated: int,
+        pool_before: int,
+        observation: FleetObservation,
+    ) -> None:
+        active = observation.tenants
+        branch = "grow" if launched > 0 else ("shrink" if terminated > 0 else "hold")
+        extra = self.autoscaler.tick_telemetry()
+        detail: dict = {}
+        if extra is not None:
+            detail = dict(
+                target_pool=extra.target_pool,
+                q_task=extra.q_task,
+                q_remaining=extra.q_remaining,
+            )
+        self.tracer.emit(
+            FleetTickRecord(
+                tick=self._ticks - 1,
+                now=self._now,
+                active_tenants=len(active),
+                waiting_tenants=len(self._waiting),
+                queued_tasks=sum(len(t.scheduler) for t in active),
+                pool_before=pool_before,
+                pool_after=self.pool.active_size() - len(self._draining),
+                launched=launched,
+                terminated=terminated,
+                branch=branch,
+                **detail,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # finalization
+    # ------------------------------------------------------------------
     def _finalize(self, completed: bool) -> FleetResult:
         makespan = self._last_completion if completed else self._now
-        for instance in self.pool:
-            if instance.state is InstanceState.RUNNING:
-                for scoped in sorted(instance.occupants):
-                    # Only possible on an incomplete (timed-out) run.
-                    tenant, local = self._owner[scoped]
-                    tenant.monitor.record_kill(local, makespan)
-                    if self._trace:
-                        self._emit_attempt(tenant, local, scoped, "killed", makespan)
-                    self._accrue_busy(instance.instance_id, tenant, scoped, makespan)
-                    instance.release(scoped, makespan)
-                    tenant.occupied_slots -= 1
-                end = max(makespan, instance.started_at or 0.0)
-                instance.mark_terminated(end)
-                if self._trace:
-                    self._emit_instance_end(instance, end, "terminated")
-            elif instance.state is InstanceState.PENDING:
-                instance.cancel_pending()
-                if self._trace:
-                    self.tracer.emit(
-                        InstanceEventRecord(
-                            now=makespan,
-                            instance_id=instance.instance_id,
-                            event="cancelled",
-                        )
-                    )
+        self._teardown(makespan)
 
         # Proportional cost attribution: each instance's bill splits
         # across tenants by their busy slot-seconds on it; instances that
@@ -406,9 +329,9 @@ class FleetSimulation:
             units = self.billing.units_charged(instance, makespan)
             wasted = self.billing.wasted_time(instance, makespan)
             shares = {
-                tenant.index: self._tenant_busy[(iid, tenant.index)]
+                tenant.index: self._run_busy[(iid, tenant.index)]
                 for tenant in self.tenants
-                if self._tenant_busy.get((iid, tenant.index), 0.0) > 0.0
+                if self._run_busy.get((iid, tenant.index), 0.0) > 0.0
             }
             total_busy = sum(shares.values())
             if total_busy <= 0.0:
@@ -453,19 +376,6 @@ class FleetSimulation:
                 )
             )
 
-        busy = sum(
-            a.occupancy_elapsed(makespan)
-            for tenant in self.tenants
-            for a in tenant.monitor.all_attempts()
-        )
-        paid_slot_seconds = sum(
-            self.billing.units_charged(i, makespan)
-            * self.billing.charging_unit
-            * i.itype.slots
-            for i in self.pool
-            if i.started_at is not None
-        )
-        utilization = busy / paid_slot_seconds if paid_slot_seconds > 0 else 0.0
         result = FleetResult(
             autoscaler_name=self.autoscaler.name,
             allocation_policy=self.policy.name,
@@ -478,7 +388,7 @@ class FleetSimulation:
             total_cost=self.pool.total_cost(makespan),
             wasted_seconds=self.pool.total_wasted_time(makespan),
             unattributed_cost=unattributed_cost,
-            utilization=min(1.0, utilization),
+            utilization=self._utilization(makespan),
             peak_instances=max((c for _, c in self._timeline), default=0),
             instances_launched=len(self.pool),
             restarts=sum(t.monitor.total_restarts() for t in self.tenants),
@@ -509,594 +419,5 @@ class FleetSimulation:
                         completed=tr.completed,
                     )
                 )
-            self.tracer.emit(
-                RunSummaryRecord(
-                    makespan=result.makespan,
-                    completed=result.completed,
-                    total_units=result.total_units,
-                    total_cost=result.total_cost,
-                    wasted_seconds=result.wasted_seconds,
-                    utilization=result.utilization,
-                    peak_instances=result.peak_instances,
-                    instances_launched=result.instances_launched,
-                    restarts=result.restarts,
-                    ticks=result.ticks,
-                )
-            )
+            self._emit_summary(result)
         return result
-
-    # ------------------------------------------------------------------
-    # event dispatch
-    # ------------------------------------------------------------------
-    def _handle(self, event: Event) -> None:
-        if event.kind is EventKind.WORKFLOW_ARRIVAL:
-            self._on_workflow_arrival(event.payload)
-        elif event.kind is EventKind.INSTANCE_READY:
-            self._on_instance_ready(event.payload)
-        elif event.kind is EventKind.INSTANCE_TERMINATE:
-            self._on_instance_terminate(event.payload)
-        elif event.kind is EventKind.STAGE_IN_DONE:
-            self._on_stage_in_done(event.payload)
-        elif event.kind is EventKind.EXEC_DONE:
-            self._on_exec_done(event.payload)
-        elif event.kind is EventKind.STAGE_OUT_DONE:
-            self._on_stage_out_done(event.payload)
-        elif event.kind is EventKind.TASK_FAILED:
-            self._on_task_failed(event.payload)
-        elif event.kind is EventKind.CONTROLLER_TICK:
-            self._on_controller_tick()
-        elif event.kind is EventKind.INSTANCE_REVOKED:
-            self._on_instance_revoked(event.payload)
-        elif event.kind is EventKind.PROVISION_FAILED:
-            self._on_provision_failed(event.payload)
-        elif event.kind is EventKind.PROVISION_RETRY:
-            self._on_provision_retry(event.payload)
-        else:  # pragma: no cover - exhaustive enum
-            raise RuntimeError(f"unknown event kind {event.kind}")
-
-    # ------------------------------------------------------------------
-    # arrivals / admission
-    # ------------------------------------------------------------------
-    def _on_workflow_arrival(self, index: int) -> None:
-        tenant = self.tenants[index]
-        self._arrivals_pending -= 1
-        if self.max_active is not None and len(self._active) >= self.max_active:
-            self._waiting.append(tenant)
-            return
-        self._activate(tenant)
-        self._dispatch()
-
-    def _activate(self, tenant: TenantRun) -> None:
-        tenant.started_at = self._now
-        self._active[tenant.index] = tenant
-        for local in tenant.master.initially_ready():
-            tenant.ready_at[local] = self._now
-            tenant.scheduler.push(local, tenant.workflow.stage_of[local])
-
-    def _admit_waiting(self) -> None:
-        """Fill freed admission slots in allocation-policy order."""
-        while self._waiting and (
-            self.max_active is None or len(self._active) < self.max_active
-        ):
-            tenant = self.policy.choose(self._waiting)
-            self._waiting.remove(tenant)
-            self._activate(tenant)
-
-    def _finish_tenant(self, tenant: TenantRun) -> None:
-        tenant.finished_at = self._now
-        del self._active[tenant.index]
-        self._admit_waiting()
-
-    # ------------------------------------------------------------------
-    # instance lifecycle
-    # ------------------------------------------------------------------
-    def _on_instance_ready(self, instance_id: str) -> None:
-        instance = self.pool.get(instance_id)
-        instance.mark_running(self._now)
-        if self._chaos_injector is not None:
-            self._chaos_instance_started(instance)
-        if self._trace:
-            self.tracer.emit(
-                InstanceEventRecord(
-                    now=self._now, instance_id=instance_id, event="provisioned"
-                )
-            )
-        self._record_pool_change(self._now)
-        self._dispatch()
-
-    def _kill_occupant(
-        self, instance: Instance, scoped: str, *, failed: bool = False
-    ) -> TenantRun:
-        """Kill one occupant, requeue it with its tenant, free the slot."""
-        tenant, local = self._owner[scoped]
-        pending = self._pending_task_event.pop(scoped, None)
-        if pending is not None:
-            self.events.cancel(pending)
-        tenant.monitor.record_kill(local, self._now, failed=failed)
-        if self._trace:
-            self._emit_attempt(
-                tenant, local, scoped, "failed" if failed else "killed", self._now
-            )
-        tenant.ready_at[local] = self._now
-        tenant.master.mark_killed(local)
-        tenant.scheduler.push(
-            local, tenant.workflow.stage_of[local], requeue=True
-        )
-        self._accrue_busy(instance.instance_id, tenant, scoped, self._now)
-        instance.release(scoped, self._now)
-        tenant.occupied_slots -= 1
-        return tenant
-
-    def _on_instance_terminate(self, instance_id: str) -> None:
-        instance = self.pool.get(instance_id)
-        for scoped in sorted(instance.occupants):
-            self._kill_occupant(instance, scoped)
-        instance.mark_terminated(self._now)
-        if self._chaos_injector is not None:
-            self.events.cancel_for_payload(
-                instance_id, kind=EventKind.INSTANCE_REVOKED
-            )
-        if self._trace:
-            self._emit_instance_end(instance, self._now, "terminated")
-        self._draining.discard(instance_id)
-        self._record_pool_change(self._now)
-        self._dispatch()
-
-    # ------------------------------------------------------------------
-    # cloud-fault handlers (reachable only with an enabled ChaosSpec)
-    # ------------------------------------------------------------------
-    def _chaos_instance_started(self, instance: Instance) -> None:
-        injector = self._chaos_injector
-        assert injector is not None
-        factor = injector.straggler_factor()
-        iid = instance.instance_id
-        if factor != 1.0:
-            instance.slowdown = factor
-            self._count_fault("stragglers")
-            if self._trace:
-                self.tracer.emit(
-                    CloudFaultRecord(
-                        now=self._now,
-                        fault="straggler",
-                        instance_id=iid,
-                        slowdown=factor,
-                    )
-                )
-        delay = injector.revocation_delay()
-        if delay is not None:
-            self.events.push(self._now + delay, EventKind.INSTANCE_REVOKED, iid)
-
-    def _on_instance_revoked(self, instance_id: str) -> None:
-        """The provider preempts ``instance_id``; every tenant with a
-        task on it takes the hit."""
-        instance = self.pool.get(instance_id)
-        if instance.state is not InstanceState.RUNNING:
-            return
-        killed = 0
-        lost_occupancy = 0.0
-        for scoped in sorted(instance.occupants):
-            tenant, local = self._owner[scoped]
-            lost_occupancy += tenant.monitor.current_attempt(
-                local
-            ).occupancy_elapsed(self._now)
-            self._kill_occupant(instance, scoped)
-            killed += 1
-        if instance_id in self._draining:
-            self.events.cancel_for_payload(
-                instance_id, kind=EventKind.INSTANCE_TERMINATE
-            )
-            self._draining.discard(instance_id)
-        instance.revoked = True
-        instance.mark_terminated(self._now)
-        self._count_fault("revocations")
-        if killed:
-            self._count_fault("revocation_task_kills", killed)
-        if self._trace:
-            self._emit_instance_end(instance, self._now, "revoked")
-            _, _, _, _, wasted = self.pool.instance_utilization(
-                instance, self._now
-            )
-            self.tracer.emit(
-                CloudFaultRecord(
-                    now=self._now,
-                    fault="revocation",
-                    instance_id=instance_id,
-                    tasks_killed=killed,
-                    wasted_seconds=wasted,
-                    lost_occupancy=lost_occupancy,
-                )
-            )
-        self._record_pool_change(self._now)
-        self._dispatch()
-
-    def _on_provision_failed(self, instance_id: str) -> None:
-        injector = self._chaos_injector
-        assert injector is not None
-        attempt = self._provision_attempts.pop(instance_id, 1)
-        self.pool.get(instance_id).cancel_pending()
-        self._count_fault("provision_failures")
-        if self._trace:
-            self.tracer.emit(
-                InstanceEventRecord(
-                    now=self._now, instance_id=instance_id, event="cancelled"
-                )
-            )
-            self.tracer.emit(
-                CloudFaultRecord(
-                    now=self._now,
-                    fault="provision_failure",
-                    instance_id=instance_id,
-                    attempt=attempt,
-                )
-            )
-        retry = injector.spec.retry
-        if attempt <= retry.max_retries:
-            backoff = retry.delay(attempt)
-            self._count_fault("provision_retries")
-            if self._trace:
-                self.tracer.emit(
-                    CloudFaultRecord(
-                        now=self._now,
-                        fault="provision_retry",
-                        instance_id=instance_id,
-                        attempt=attempt,
-                        backoff=backoff,
-                    )
-                )
-            self.events.push(
-                self._now + backoff, EventKind.PROVISION_RETRY, attempt + 1
-            )
-        else:
-            self._count_fault("provision_abandoned")
-            if self._trace:
-                self.tracer.emit(
-                    CloudFaultRecord(
-                        now=self._now,
-                        fault="provision_abandoned",
-                        instance_id=instance_id,
-                        attempt=attempt,
-                    )
-                )
-
-    def _on_provision_retry(self, attempt: int) -> None:
-        orders = self.provisioner.order_launches(1, self._now)
-        if not orders:
-            self._count_fault("provision_retries_dropped")
-            return
-        self._issue_launch(orders[0], attempt=attempt)
-
-    def _count_fault(self, key: str, n: int = 1) -> None:
-        self._cloud_faults[key] = self._cloud_faults.get(key, 0) + n
-
-    # ------------------------------------------------------------------
-    # task lifecycle
-    # ------------------------------------------------------------------
-    def _on_stage_in_done(self, scoped: str) -> None:
-        tenant, local = self._owner[scoped]
-        tenant.master.mark_executing(local)
-        tenant.monitor.record_exec_start(local, self._now)
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"executing task {scoped} has no instance"
-        task = tenant.workflow.task(local)
-        attempt = tenant.master.attempts(local)
-        duration = self.runtime_model.execution_time(
-            task, instance, attempt, tenant.rng_runtime
-        )
-        if self._chaos_injector is not None and instance.slowdown != 1.0:
-            duration *= instance.slowdown
-        failure = self.fault_model.failure_offset(
-            task, instance, attempt, duration, tenant.rng_faults
-        )
-        if failure is not None and failure < duration:
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + failure, EventKind.TASK_FAILED, scoped
-            )
-        else:
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + duration, EventKind.EXEC_DONE, scoped
-            )
-
-    def _on_exec_done(self, scoped: str) -> None:
-        tenant, local = self._owner[scoped]
-        tenant.master.mark_staging_out(local)
-        tenant.monitor.record_exec_end(local, self._now)
-        duration = self.transfer_model.stage_out_time(
-            tenant.workflow.task(local), tenant.rng_transfer
-        )
-        self._pending_task_event[scoped] = self.events.push(
-            self._now + duration, EventKind.STAGE_OUT_DONE, scoped
-        )
-
-    def _on_stage_out_done(self, scoped: str) -> None:
-        tenant, local = self._owner[scoped]
-        self._pending_task_event.pop(scoped, None)
-        tenant.monitor.record_complete(local, self._now)
-        if self._trace:
-            self._emit_attempt(tenant, local, scoped, "completed", self._now)
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"completing task {scoped} has no instance"
-        self._accrue_busy(instance.instance_id, tenant, scoped, self._now)
-        instance.release(scoped, self._now)
-        tenant.occupied_slots -= 1
-        self._last_completion = self._now
-        for child in tenant.master.mark_completed(local):
-            tenant.ready_at[child] = self._now
-            tenant.scheduler.push(child, tenant.workflow.stage_of[child])
-        if tenant.master.is_done():
-            self._finish_tenant(tenant)
-        self._dispatch()
-
-    def _on_task_failed(self, scoped: str) -> None:
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"failed task {scoped} has no instance"
-        self._kill_occupant(instance, scoped, failed=True)
-        self._dispatch()
-
-    # ------------------------------------------------------------------
-    # global steering
-    # ------------------------------------------------------------------
-    def _on_controller_tick(self) -> None:
-        if self._fleet_done():
-            return
-        blackout = False
-        window_start = self._last_tick_time
-        if self._chaos_injector is not None:
-            blackout = self._chaos_injector.blackout()
-            if blackout:
-                self._count_fault("blackouts")
-                if self._trace:
-                    self.tracer.emit(
-                        CloudFaultRecord(now=self._now, fault="monitor_blackout")
-                    )
-                if (
-                    self._observe_from is None
-                    and not self._chaos_injector.spec.blackout_drops
-                ):
-                    self._observe_from = self._last_tick_time
-            elif self._observe_from is not None:
-                window_start = self._observe_from
-                self._observe_from = None
-        active = tuple(
-            self._active[index] for index in sorted(self._active)
-        )
-        observation = FleetObservation(
-            now=self._now,
-            window_start=window_start,
-            tenants=active,
-            waiting_count=len(self._waiting),
-            pool=self.pool,
-            billing=self.billing,
-            site=self.site,
-            owner=self._owner,
-            draining_ids=frozenset(self._draining),
-            monitor_blackout=blackout,
-        )
-        pool_before = self.pool.active_size() - len(self._draining)
-        started = _time.perf_counter()
-        decision = self.autoscaler.plan(observation)
-        self._controller_seconds += _time.perf_counter() - started
-        self._ticks += 1
-        self._last_tick_time = self._now
-        terminated = self._apply_decision(decision)
-        if self._trace:
-            self._emit_tick(decision.launch, terminated, pool_before, active)
-        self.events.push(self._now + self.period, EventKind.CONTROLLER_TICK)
-
-    def _apply_decision(self, decision: ScalingDecision) -> int:
-        if decision.launch > 0:
-            for order in self.provisioner.order_launches(decision.launch, self._now):
-                self._issue_launch(order)
-        applied = 0
-        remaining = self.pool.active_size() - len(self._draining)
-        for order in decision.terminations:
-            if order.instance_id in self._draining:
-                continue
-            instance = self.pool.get(order.instance_id)
-            if instance.state is not InstanceState.RUNNING:
-                continue
-            if remaining <= self.site.min_instances:
-                break
-            at = max(order.at, self._now)
-            self._draining.add(order.instance_id)
-            self.events.push(at, EventKind.INSTANCE_TERMINATE, order.instance_id)
-            remaining -= 1
-            applied += 1
-        return applied
-
-    def _issue_launch(self, order, attempt: int = 1) -> None:
-        ready_at = order.ready_at
-        if self.launch_jitter > 0.0:
-            lag = order.ready_at - self._now
-            ready_at = self._now + lag * (
-                1.0 - self.launch_jitter * float(self._rng_launch.random())
-            )
-        iid = order.instance.instance_id
-        if self._trace:
-            self.tracer.emit(
-                InstanceEventRecord(
-                    now=self._now, instance_id=iid, event="requested"
-                )
-            )
-        injector = self._chaos_injector
-        if injector is None:
-            self.events.push(ready_at, EventKind.INSTANCE_READY, iid)
-            return
-        outcome = injector.provision_outcome(self._now)
-        if outcome == "fail":
-            self._provision_attempts[iid] = attempt
-            self.events.push(ready_at, EventKind.PROVISION_FAILED, iid)
-        elif outcome == "timeout":
-            factor = injector.spec.provision_timeout_factor
-            delayed = self._now + (ready_at - self._now) * factor
-            self._count_fault("provision_timeouts")
-            if self._trace:
-                self.tracer.emit(
-                    CloudFaultRecord(
-                        now=self._now,
-                        fault="provision_timeout",
-                        instance_id=iid,
-                        attempt=attempt,
-                    )
-                )
-            self.events.push(delayed, EventKind.INSTANCE_READY, iid)
-        else:
-            self.events.push(ready_at, EventKind.INSTANCE_READY, iid)
-
-    # ------------------------------------------------------------------
-    # task dispatch (the allocation-policy step)
-    # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        while True:
-            instance = self.pool.best_dispatchable(self._draining)
-            if instance is None:
-                return
-            candidates = [
-                tenant
-                for tenant in self._active.values()
-                if len(tenant.scheduler) > 0
-            ]
-            if not candidates:
-                return
-            tenant = self.policy.choose(candidates)
-            local = tenant.scheduler.pop()
-            assert local is not None
-            scoped = tenant.scoped(local)
-            task = tenant.workflow.task(local)
-            instance.assign(scoped, self._now)
-            tenant.occupied_slots += 1
-            self._assign_at[scoped] = self._now
-            tenant.master.mark_dispatched(local)
-            ready = tenant.ready_at.pop(local, None)
-            if ready is not None:
-                tenant.queue_waits.append(self._now - ready)
-            tenant.monitor.record_dispatch(
-                local,
-                tenant.workflow.stage_of[local],
-                instance.instance_id,
-                self._now,
-                task.input_size,
-                task.output_size,
-                ready_time=ready,
-            )
-            duration = self._stage_in_duration(tenant, task, instance)
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + duration, EventKind.STAGE_IN_DONE, scoped
-            )
-
-    def _stage_in_duration(self, tenant: TenantRun, task, instance: Instance) -> float:
-        placed = getattr(self.transfer_model, "stage_in_time_placed", None)
-        if placed is None:
-            return self.transfer_model.stage_in_time(task, tenant.rng_transfer)
-        return placed(
-            task,
-            self._local_input_fraction(tenant, task, instance),
-            tenant.rng_transfer,
-        )
-
-    def _local_input_fraction(
-        self, tenant: TenantRun, task, instance: Instance
-    ) -> float:
-        parents = tenant.workflow.parents(task.task_id)
-        if not parents:
-            return 0.0
-        total = 0.0
-        local_bytes = 0.0
-        for parent_id in parents:
-            parent = tenant.workflow.task(parent_id)
-            total += parent.output_size
-            attempts = tenant.monitor.attempts(parent_id)
-            final = next((a for a in reversed(attempts) if a.is_completed), None)
-            if final is not None and final.instance_id == instance.instance_id:
-                local_bytes += parent.output_size
-        if total <= 0.0:
-            return 0.0
-        return local_bytes / total
-
-    # ------------------------------------------------------------------
-    # bookkeeping / trace emission
-    # ------------------------------------------------------------------
-    def _accrue_busy(
-        self, instance_id: str, tenant: TenantRun, scoped: str, now: float
-    ) -> None:
-        assigned = self._assign_at.pop(scoped, None)
-        if assigned is None:
-            return
-        key = (instance_id, tenant.index)
-        self._tenant_busy[key] = self._tenant_busy.get(key, 0.0) + (now - assigned)
-
-    def _record_pool_change(self, now: float) -> None:
-        count = self.pool.running_count()
-        if self._timeline and self._timeline[-1][0] == now:
-            self._timeline[-1] = (now, count)
-        else:
-            self._timeline.append((now, count))
-
-    def _emit_attempt(
-        self, tenant: TenantRun, local: str, scoped: str, outcome: str, now: float
-    ) -> None:
-        attempt = tenant.monitor.current_attempt(local)
-        self.tracer.emit(
-            TaskAttemptRecord(
-                now=now,
-                task_id=scoped,
-                stage_id=attempt.stage_id,
-                attempt=attempt.attempt,
-                instance_id=attempt.instance_id,
-                outcome=outcome,
-                queue_wait=attempt.queue_wait,
-                stage_in=attempt.stage_in_time,
-                runtime=attempt.execution_time,
-                stage_out=attempt.stage_out_time,
-                occupancy=attempt.occupancy_elapsed(now),
-                input_size=attempt.input_size,
-            )
-        )
-
-    def _emit_instance_end(self, instance: Instance, now: float, event: str) -> None:
-        units, paid, busy, idle, wasted = self.pool.instance_utilization(
-            instance, now
-        )
-        self.tracer.emit(
-            InstanceEventRecord(
-                now=now,
-                instance_id=instance.instance_id,
-                event=event,
-                units_charged=units,
-                paid_seconds=paid,
-                busy_slot_seconds=busy,
-                idle_fraction=idle,
-                wasted_seconds=wasted,
-            )
-        )
-
-    def _emit_tick(
-        self,
-        launched: int,
-        terminated: int,
-        pool_before: int,
-        active: tuple[TenantRun, ...],
-    ) -> None:
-        branch = "grow" if launched > 0 else ("shrink" if terminated > 0 else "hold")
-        extra = self.autoscaler.tick_telemetry()
-        detail: dict = {}
-        if extra is not None:
-            detail = dict(
-                target_pool=extra.target_pool,
-                q_task=extra.q_task,
-                q_remaining=extra.q_remaining,
-            )
-        self.tracer.emit(
-            FleetTickRecord(
-                tick=self._ticks - 1,
-                now=self._now,
-                active_tenants=len(active),
-                waiting_tenants=len(self._waiting),
-                queued_tasks=sum(len(t.scheduler) for t in active),
-                pool_before=pool_before,
-                pool_after=self.pool.active_size() - len(self._draining),
-                launched=launched,
-                terminated=terminated,
-                branch=branch,
-                **detail,
-            )
-        )

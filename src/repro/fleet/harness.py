@@ -97,7 +97,6 @@ def run_fleet(
     trace_path: str | Path | None = None,
     chaos: ChaosSpec | None = None,
     validate: object = None,
-    shards: int = 1,
     checkpoint_every: int | None = None,
     checkpoint_path: str | Path | None = None,
     stop_after_checkpoint: bool = False,
@@ -106,8 +105,7 @@ def run_fleet(
 
     ``validate`` is forwarded to :class:`FleetSimulation` — ``True`` for
     a default raise-mode invariant checker, or a configured
-    :class:`~repro.validate.InvariantChecker` instance. ``shards``
-    partitions the event queue (any value is bit-identical to 1).
+    :class:`~repro.validate.InvariantChecker` instance.
     ``checkpoint_every``/``checkpoint_path`` serialize the engine every
     N controller ticks (:mod:`repro.checkpoint`); with
     ``stop_after_checkpoint`` the run returns ``None`` right after the
@@ -144,7 +142,6 @@ def run_fleet(
             tracer=tracer,
             chaos=chaos,
             validate=validate,
-            shards=shards,
         )
         return sim.run(
             checkpoint_every=checkpoint_every,
@@ -166,7 +163,7 @@ def resume_fleet(
     """Restore a checkpointed fleet run and drive it to completion.
 
     The checkpoint carries the whole engine — configuration, event
-    queue(s), RNG streams, predictor state, invariant checker, telemetry
+    queue, RNG streams, predictor state, invariant checker, telemetry
     cursor — so no other parameters are needed; the completed run is
     byte-identical to one that was never interrupted. Pass
     ``checkpoint_every``/``checkpoint_path`` to keep checkpointing the

@@ -13,51 +13,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.dag.analysis import critical_path_length
-from repro.dag.workflow import Workflow
-from repro.engine.master import FrameworkMaster
-from repro.engine.monitor import Monitor
-from repro.engine.scheduler import FifoScheduler
+from repro.engine.simulator import WorkflowRun
 from repro.fleet.arrivals import Submission
 
 __all__ = ["TenantResult", "TenantRun"]
 
 
-@dataclass
-class TenantRun:
-    """Live state of one tenant inside a fleet simulation."""
+@dataclass(eq=False, kw_only=True)
+class TenantRun(WorkflowRun):
+    """Live state of one tenant inside a fleet simulation.
+
+    A :class:`~repro.engine.simulator.WorkflowRun` with scoped task ids
+    and the per-tenant extras a :class:`~repro.fleet.result.FleetResult`
+    reports.
+    """
 
     index: int
     submission: Submission
-    workflow: Workflow
-    rng_transfer: np.random.Generator
-    rng_runtime: np.random.Generator
-    rng_faults: np.random.Generator
-    master: FrameworkMaster = field(init=False)
-    monitor: Monitor = field(init=False)
-    scheduler: FifoScheduler = field(init=False)
     critical_path: float = field(init=False)
     #: simulation time the tenant was admitted (roots became queueable);
     #: equals ``submitted_at`` unless an admission cap held it back
     started_at: float | None = None
     finished_at: float | None = None
-    #: slots currently held on the shared pool (fair-share signal)
-    occupied_slots: int = 0
-    #: local task id -> time it became runnable (for queue-wait metrics)
-    ready_at: dict[str, float] = field(default_factory=dict)
-    queue_waits: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.master = FrameworkMaster(self.workflow)
-        self.monitor = Monitor()
-        self.scheduler = FifoScheduler()
+        super().__post_init__()
         self.critical_path = critical_path_length(self.workflow)
 
     @property
     def tenant_id(self) -> str:
         return self.submission.tenant_id
+
+    @property
+    def label(self) -> str:
+        return self.tenant_id
 
     @property
     def priority(self) -> int:

@@ -2,7 +2,10 @@
 
 :class:`InvariantChecker` hooks into :class:`~repro.engine.simulator.
 Simulation` and :class:`~repro.fleet.engine.FleetSimulation` through the
-``validate=`` constructor argument. It follows the repo's
+``validate=`` constructor argument. Both run on the same
+:class:`~repro.engine.simulator.EngineCore`, so the checker reads one
+shape: the engine's ``runs`` (each with its own master, monitor and
+queue), its ownership map, and its per-run busy shares. It follows the repo's
 zero-cost-when-disabled contract (the chaos/telemetry pattern): a run
 constructed without ``validate`` stores ``None`` and the engine loop pays
 a single ``is not None`` check per event — no checker object, no extra
@@ -14,12 +17,13 @@ With a checker attached the engine calls three hooks:
   monotonicity, plus (``deep`` mode) a full recomputation of the pool's
   slot indexes. On ``CONTROLLER_TICK`` events the heavier sweeps run
   too: billing consistency for every instance, monitor incremental
-  aggregates vs brute force, and attempt/instance liveness.
+  aggregates vs brute force, attempt/instance liveness, and per-run
+  busy shares and slot counters.
 - ``check_final(sim, result)`` — after finalization: billing frozen past
-  the horizon, task conservation, fleet cost attribution, and result
-  sanity.
-- ``begin_run(sim)`` — before the event loop: fleet scoped-id
-  disjointness.
+  the horizon, task conservation, result sanity, and (on a
+  :class:`~repro.fleet.result.FleetResult`) cost attribution.
+- ``begin_run(sim)`` — before the event loop: pool-side task ids are
+  disjoint across runs.
 
 ``mode="raise"`` (default) raises :class:`~repro.validate.invariants.
 InvariantError` on the first violation; ``mode="collect"`` accumulates
@@ -84,9 +88,8 @@ class InvariantChecker:
     # engine hooks
     # ------------------------------------------------------------------
     def begin_run(self, sim: Any) -> None:
-        """Pre-loop structural checks (fleet scoped-id disjointness)."""
-        if _is_fleet(sim):
-            self._emit(self._check_fleet_ownership(sim))
+        """Pre-loop structural check: task ids are disjoint across runs."""
+        self._emit(self._check_ownership(sim))
 
     def after_event(self, sim: Any, event: Event) -> None:
         """Per-event boundary checks; heavier sweeps at controller ticks."""
@@ -119,8 +122,7 @@ class InvariantChecker:
             violations += self._billing_sweep(sim, now)
             violations += self._monitor_sweep(sim, now)
             violations += self._liveness_sweep(sim, now)
-            if _is_fleet(sim):
-                violations += self._fleet_sweep(sim, now)
+            violations += self._run_sweep(sim, now)
         self._emit(violations)
 
     def check_final(self, sim: Any, result: Any) -> None:
@@ -153,10 +155,12 @@ class InvariantChecker:
                     instance, makespan
                 ),
             )
-        violations += self._conservation(sim, result, makespan)
+        violations += self._conservation(sim, makespan)
         violations += self._result_sanity(result, makespan)
-        if _is_fleet(sim):
-            violations += self._fleet_sweep(sim, makespan)
+        violations += self._run_sweep(sim, makespan)
+        from repro.fleet.result import FleetResult
+
+        if isinstance(result, FleetResult):
             violations += check_fleet_attribution(
                 result.total_cost,
                 [t.attributed_cost for t in result.tenants],
@@ -189,14 +193,10 @@ class InvariantChecker:
         return violations
 
     def _monitor_sweep(self, sim: Any, now: float) -> list[Violation]:
-        if _is_fleet(sim):
-            violations: list[Violation] = []
-            for tenant in sim.tenants:
-                violations += check_monitor_aggregates(
-                    tenant.monitor, now, label=tenant.tenant_id
-                )
-            return violations
-        return check_monitor_aggregates(sim.monitor, now)
+        violations: list[Violation] = []
+        for run in sim.runs:
+            violations += check_monitor_aggregates(run.monitor, now, label=run.label)
+        return violations
 
     def _liveness_sweep(self, sim: Any, now: float) -> list[Violation]:
         """Every in-flight attempt runs on a live instance it occupies.
@@ -207,16 +207,11 @@ class InvariantChecker:
         or foreign instance.
         """
         violations: list[Violation] = []
-        monitors = (
-            [(t.tenant_id, t.monitor, t.scoped) for t in sim.tenants]
-            if _is_fleet(sim)
-            else [("", sim.monitor, lambda local: local)]
-        )
-        for label, monitor, scoped_of in monitors:
-            tag = f"{label}: " if label else ""
-            for running in monitor._running_by_stage.values():
+        for run in sim.runs:
+            tag = f"{run.label}: " if run.label else ""
+            for running in run.monitor._running_by_stage.values():
                 for attempt in running.values():
-                    scoped = scoped_of(attempt.task_id)
+                    scoped = run.scoped(attempt.task_id)
                     placed = sim.pool._task_instance.get(scoped)
                     if placed != attempt.instance_id:
                         violations.append(
@@ -253,18 +248,18 @@ class InvariantChecker:
                         )
         return violations
 
-    def _fleet_sweep(self, sim: Any, now: float) -> list[Violation]:
-        """Fleet-only cross-structure checks.
+    def _run_sweep(self, sim: Any, now: float) -> list[Violation]:
+        """Per-run cross-structure checks.
 
         - each instance's ``busy_slot_seconds`` equals the summed
-          per-tenant busy shares the attribution step will split its bill
+          per-run busy shares a fleet's attribution step splits its bill
           by (so attribution draws from the same integral billing does);
-        - each tenant's ``occupied_slots`` counter matches its actual
-          slot occupancy across the pool.
+        - each run's ``occupied_slots`` counter matches its actual slot
+          occupancy across the pool.
         """
         violations: list[Violation] = []
         per_instance: dict[str, float] = {}
-        for (iid, _), busy in sim._tenant_busy.items():
+        for (iid, _), busy in sim._run_busy.items():
             per_instance[iid] = per_instance.get(iid, 0.0) + busy
         for instance in sim.pool:
             iid = instance.instance_id
@@ -276,10 +271,10 @@ class InvariantChecker:
             ):
                 violations.append(
                     Violation(
-                        "fleet.busy_attribution",
+                        "runs.busy_attribution",
                         now,
                         f"instance {iid} accrued {instance.busy_slot_seconds}"
-                        f" busy slot-seconds but tenant shares sum to "
+                        f" busy slot-seconds but run shares sum to "
                         f"{settled}; cost attribution would split the bill "
                         "by a different integral than billing charged",
                         {
@@ -291,62 +286,58 @@ class InvariantChecker:
                 )
         occupancy: dict[int, int] = {}
         for scoped in sim.pool._task_instance:
-            tenant, _ = sim._owner[scoped]
-            occupancy[tenant.index] = occupancy.get(tenant.index, 0) + 1
-        for tenant in sim.tenants:
-            actual = occupancy.get(tenant.index, 0)
-            if tenant.occupied_slots != actual:
+            owner = sim._owner.get(scoped)
+            if owner is None:
+                continue  # a foreign id: pool.placement_index reports it
+            index = owner[0].index
+            occupancy[index] = occupancy.get(index, 0) + 1
+        for run in sim.runs:
+            actual = occupancy.get(run.index, 0)
+            if run.occupied_slots != actual:
                 violations.append(
                     Violation(
-                        "fleet.occupied_slots",
+                        "runs.occupied_slots",
                         now,
-                        f"tenant {tenant.tenant_id} counter claims "
-                        f"{tenant.occupied_slots} occupied slots but the "
+                        f"run {run.label or run.index} counter claims "
+                        f"{run.occupied_slots} occupied slots but the "
                         f"pool holds {actual} of its tasks",
                         {
-                            "tenant": tenant.tenant_id,
-                            "counter": tenant.occupied_slots,
+                            "run": run.label or run.index,
+                            "counter": run.occupied_slots,
                             "actual": actual,
                         },
                     )
                 )
         return violations
 
-    def _check_fleet_ownership(self, sim: Any) -> list[Violation]:
-        expected = sum(len(t.workflow) for t in sim.tenants)
+    def _check_ownership(self, sim: Any) -> list[Violation]:
+        expected = sum(len(run.workflow) for run in sim.runs)
         if len(sim._owner) != expected:
             return [
                 Violation(
-                    "fleet.scoped_ids_disjoint",
+                    "runs.task_ids_disjoint",
                     0.0,
                     f"ownership index holds {len(sim._owner)} scoped ids "
-                    f"for {expected} tenant tasks; scoped ids collide "
-                    "across tenants",
+                    f"for {expected} run tasks; scoped ids collide "
+                    "across runs",
                     {"owned": len(sim._owner), "expected": expected},
                 )
             ]
         return []
 
-    def _conservation(
-        self, sim: Any, result: Any, makespan: float
-    ) -> list[Violation]:
-        if _is_fleet(sim):
-            violations: list[Violation] = []
-            for tenant, tres in zip(sim.tenants, result.tenants):
-                violations += check_task_conservation(
-                    tenant.workflow.tasks,
-                    tenant.monitor,
-                    makespan,
-                    completed_run=tres.completed,
-                    label=tenant.tenant_id,
-                )
-            return violations
-        return check_task_conservation(
-            sim.workflow.tasks,
-            sim.monitor,
-            makespan,
-            completed_run=result.completed,
-        )
+    def _conservation(self, sim: Any, makespan: float) -> list[Violation]:
+        # A run completes exactly when its master does: the engine ends
+        # a run at its last completion and never before.
+        violations: list[Violation] = []
+        for run in sim.runs:
+            violations += check_task_conservation(
+                run.workflow.tasks,
+                run.monitor,
+                makespan,
+                completed_run=run.master.is_done(),
+                label=run.label,
+            )
+        return violations
 
     def _result_sanity(self, result: Any, makespan: float) -> list[Violation]:
         violations: list[Violation] = []
@@ -393,6 +384,3 @@ class InvariantChecker:
             raise InvariantError(violations[0])
         self.violations.extend(violations)
 
-
-def _is_fleet(sim: Any) -> bool:
-    return hasattr(sim, "tenants")

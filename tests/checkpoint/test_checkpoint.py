@@ -3,7 +3,7 @@
 The contract under test: a run interrupted at a controller-tick
 boundary and resumed from its checkpoint finishes *byte-identically* to
 a run that was never interrupted — same summary JSON, same telemetry
-bytes — for plain, chaotic, sharded, and validated runs alike.
+bytes — for plain, chaotic, and validated runs alike.
 """
 
 from __future__ import annotations
@@ -89,6 +89,23 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_rejects_version_1(self, small_fleet, tmp_path):
+        # Version 1 pickled the two engines before they shared one core;
+        # its payload cannot be restored into today's classes.
+        path = interrupted_checkpoint(small_fleet, tmp_path)
+        sim = load_checkpoint(path)
+        import repro.checkpoint as cp
+
+        try:
+            cp.CHECKPOINT_VERSION = 1
+            save_checkpoint(sim, path)
+        finally:
+            cp.CHECKPOINT_VERSION = 2
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert "version 1" in message and "version 2" in message
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.ckpt")
@@ -116,12 +133,6 @@ class TestFleetResume:
 
     def test_with_invariant_checker(self, small_fleet, tmp_path):
         self.assert_resume_matches(small_fleet, tmp_path, validate=True)
-
-    def test_sharded(self, small_fleet, tmp_path):
-        straight = small_fleet()
-        path = interrupted_checkpoint(small_fleet, tmp_path, shards=2)
-        resumed = resume_fleet(path)
-        assert resumed.to_summary_json() == straight.to_summary_json()
 
     def test_trace_bytes_identical(self, small_fleet, tmp_path):
         straight = tmp_path / "straight.jsonl"

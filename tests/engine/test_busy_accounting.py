@@ -131,7 +131,7 @@ class TestFleetEngine:
         sim, result = self._run_fleet()
         assert result.completed
         per_instance: dict[str, float] = {}
-        for (iid, _), busy in sim._tenant_busy.items():
+        for (iid, _), busy in sim._run_busy.items():
             per_instance[iid] = per_instance.get(iid, 0.0) + busy
         for instance in sim.pool:
             assert per_instance.get(
@@ -146,7 +146,7 @@ class TestFleetEngine:
             "chaos injected no revocations; pick another seed"
         )
         per_instance: dict[str, float] = {}
-        for (iid, _), busy in sim._tenant_busy.items():
+        for (iid, _), busy in sim._run_busy.items():
             per_instance[iid] = per_instance.get(iid, 0.0) + busy
         for instance in sim.pool:
             assert per_instance.get(
@@ -162,7 +162,7 @@ class TestFleetEngine:
             )
             share = sum(
                 busy
-                for (_, idx), busy in sim._tenant_busy.items()
+                for (_, idx), busy in sim._run_busy.items()
                 if idx == tenant.index
             )
             assert share == pytest.approx(integral, abs=1e-6)

@@ -124,3 +124,91 @@ class TestTelemetry:
         assert ticks
         assert len(tenants) == 3
         assert {t.tenant_id for t in tenants} == {"t00", "t01", "t02"}
+
+
+class TestOneTenantEquivalence:
+    """A one-tenant fleet submitted at t=0 runs exactly like Simulation.
+
+    Deterministic models only (nominal runtimes, no transfers, no faults,
+    no chaos): the two engines derive their RNG streams under different
+    labels, so stochastic models would draw different numbers. The fleet
+    handles one extra event, the tenant's arrival.
+    """
+
+    @pytest.mark.parametrize("workload", ["genome-S", "tpch6-S", "pagerank-S"])
+    @pytest.mark.parametrize("charging_unit", [60.0, 900.0])
+    @pytest.mark.parametrize(
+        "single_policy, fleet_policy",
+        [("full-site", "global-static"), ("pure-reactive", "global-reactive")],
+    )
+    def test_fleet_of_one_matches_simulation(
+        self, workload, charging_unit, single_policy, fleet_policy
+    ):
+        from repro.autoscalers import PureReactiveAutoscaler, full_site
+        from repro.cloud import exogeni_site
+        from repro.engine import NominalRuntimeModel, Simulation
+        from repro.fleet import (
+            FifoPolicy,
+            FleetSimulation,
+            Submission,
+            fleet_autoscaler,
+        )
+        from repro.workloads import table1_specs
+
+        site = exogeni_site()
+        workflow = table1_specs()[workload].generate(0)
+        single_autoscaler = (
+            full_site(site)
+            if single_policy == "full-site"
+            else PureReactiveAutoscaler()
+        )
+        single = Simulation(
+            workflow,
+            site,
+            single_autoscaler,
+            charging_unit,
+            runtime_model=NominalRuntimeModel(),
+        ).run()
+        fleet = FleetSimulation(
+            [Submission("t00", workload, 0.0, 0)],
+            {workload: workflow},
+            site,
+            fleet_autoscaler(fleet_policy),
+            FifoPolicy(),
+            charging_unit,
+            runtime_model=NominalRuntimeModel(),
+        ).run()
+        assert fleet.makespan == single.makespan
+        assert fleet.total_units == single.total_units
+        assert fleet.restarts == single.restarts
+        assert fleet.ticks == single.ticks
+        assert fleet.events_processed == single.events_processed + 1
+
+
+class TestBoostK:
+    def test_boost_k_reaches_every_tenant_scheduler(self):
+        from repro.cloud import exogeni_site
+        from repro.fleet import (
+            FifoPolicy,
+            FleetSimulation,
+            Submission,
+            fleet_autoscaler,
+        )
+        from repro.workloads import table1_specs
+
+        workflow = table1_specs()["genome-S"].generate(0)
+
+        def summary(boost_k):
+            sim = FleetSimulation(
+                [Submission("t00", "genome-S", 0.0, 0)],
+                {"genome-S": workflow},
+                exogeni_site(),
+                fleet_autoscaler("global-wire"),
+                FifoPolicy(),
+                60.0,
+                boost_k=boost_k,
+            )
+            assert all(t.scheduler.boost_k == boost_k for t in sim.tenants)
+            return sim.run().to_summary_json()
+
+        assert summary(0) != summary(5)

@@ -1,9 +1,9 @@
-"""Merging per-shard trace directories (read_jsonl_dir + CLI).
+"""Merging trace directories (read_jsonl_dir + CLI).
 
-A sharded or multi-run campaign leaves one JSONL file per shard;
-``repro trace summarize <dir>`` must stitch them into one record
-stream in timestamp order instead of refusing directories (the
-pre-sharding behaviour was an unhandled IsADirectoryError).
+A multi-run campaign leaves one JSONL file per run; ``repro trace
+summarize <dir>`` must stitch them into one record stream in timestamp
+order instead of refusing directories (the earlier behaviour was an
+unhandled IsADirectoryError).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ EXTRA_MODULES = [
     "repro.cloud.faults",
     "repro.cloud.messaging",
     "repro.engine.kickstart",
-    "repro.fleet.shard",
     "repro.experiments.executors",
     "repro.validate.fuzz",
     "repro.cli",
@@ -61,12 +60,6 @@ NOTES = {
     "repro.zoo": (
         "WfCommons ingestion, trace calibration, and the workload "
         "registry are documented in [workloads.md](workloads.md)."
-    ),
-    "repro.fleet.shard": (
-        "The sharding design — shared sequence counter, deterministic "
-        "K-way merge, lockstep MAPE epochs — is documented in "
-        "[fleet.md](fleet.md); shard-scaling numbers live in "
-        "[performance.md](performance.md)."
     ),
     "repro.experiments.executors": (
         "The backend contract (retry accounting, pinned start method, "
