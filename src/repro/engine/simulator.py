@@ -325,6 +325,7 @@ class EngineCore:
         raise NotImplementedError
 
     def _finalize(self, completed: bool):
+        """Tear the pool down and build the engine's result."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -505,27 +506,29 @@ class EngineCore:
     # event dispatch
     # ------------------------------------------------------------------
     def _handle(self, event: Event) -> None:
-        if event.kind is EventKind.INSTANCE_READY:
-            self._on_instance_ready(event.payload)
-        elif event.kind is EventKind.INSTANCE_TERMINATE:
-            self._on_instance_terminate(event.payload)
-        elif event.kind is EventKind.STAGE_IN_DONE:
+        # the three per-task events come first: they are most of the load
+        kind = event.kind
+        if kind is EventKind.STAGE_IN_DONE:
             self._on_stage_in_done(event.payload)
-        elif event.kind is EventKind.EXEC_DONE:
+        elif kind is EventKind.EXEC_DONE:
             self._on_exec_done(event.payload)
-        elif event.kind is EventKind.STAGE_OUT_DONE:
+        elif kind is EventKind.STAGE_OUT_DONE:
             self._on_stage_out_done(event.payload)
-        elif event.kind is EventKind.TASK_FAILED:
+        elif kind is EventKind.INSTANCE_READY:
+            self._on_instance_ready(event.payload)
+        elif kind is EventKind.INSTANCE_TERMINATE:
+            self._on_instance_terminate(event.payload)
+        elif kind is EventKind.TASK_FAILED:
             self._on_task_failed(event.payload)
-        elif event.kind is EventKind.CONTROLLER_TICK:
+        elif kind is EventKind.CONTROLLER_TICK:
             self._on_controller_tick()
-        elif event.kind is EventKind.INSTANCE_REVOKED:
+        elif kind is EventKind.INSTANCE_REVOKED:
             self._on_instance_revoked(event.payload)
-        elif event.kind is EventKind.PROVISION_FAILED:
+        elif kind is EventKind.PROVISION_FAILED:
             self._on_provision_failed(event.payload)
-        elif event.kind is EventKind.PROVISION_RETRY:
+        elif kind is EventKind.PROVISION_RETRY:
             self._on_provision_retry(event.payload)
-        elif event.kind is EventKind.WORKFLOW_ARRIVAL:
+        elif kind is EventKind.WORKFLOW_ARRIVAL:
             # only an engine that schedules arrivals defines this handler
             self._on_workflow_arrival(event.payload)
         else:  # pragma: no cover - exhaustive enum

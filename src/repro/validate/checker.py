@@ -5,8 +5,8 @@ Simulation` and :class:`~repro.fleet.engine.FleetSimulation` through the
 ``validate=`` constructor argument. Both run on the same
 :class:`~repro.engine.simulator.EngineCore`, so the checker reads one
 shape: the engine's ``runs`` (each with its own master, monitor and
-queue), its ownership map, and its per-run busy shares. It follows the repo's
-zero-cost-when-disabled contract (the chaos/telemetry pattern): a run
+queue), its ownership map, and its per-run busy shares. It follows the
+repo's zero-cost-when-disabled contract (the chaos/telemetry pattern): a run
 constructed without ``validate`` stores ``None`` and the engine loop pays
 a single ``is not None`` check per event — no checker object, no extra
 RNG draws, bit-identical results.
@@ -37,6 +37,7 @@ from typing import Any
 
 from repro.cloud.instance import InstanceState
 from repro.engine.events import Event, EventKind
+from repro.fleet.result import FleetResult
 from repro.validate.invariants import (
     InvariantError,
     Violation,
@@ -158,8 +159,6 @@ class InvariantChecker:
         violations += self._conservation(sim, makespan)
         violations += self._result_sanity(result, makespan)
         violations += self._run_sweep(sim, makespan)
-        from repro.fleet.result import FleetResult
-
         if isinstance(result, FleetResult):
             violations += check_fleet_attribution(
                 result.total_cost,
@@ -383,4 +382,3 @@ class InvariantChecker:
         if self.mode == "raise":
             raise InvariantError(violations[0])
         self.violations.extend(violations)
-
