@@ -4,8 +4,8 @@ A :class:`MetricsRegistry` hands out named instruments that engine code
 updates unconditionally; the cost of the disabled default is one no-op
 method call per update site (the instruments returned by
 :data:`NULL_METRICS` do nothing), and the engine additionally guards its
-per-event update sites behind a cached boolean so the smoke-bench
-overhead of the null path stays under 2%.
+per-event update sites behind a cached boolean, so the null path adds
+no per-event instrument calls.
 
 Histograms use fixed power-of-two bucket boundaries, so aggregation is
 O(1) per observation, merge-friendly, and deterministic — no reservoir

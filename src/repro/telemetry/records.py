@@ -16,7 +16,7 @@ which keeps sinks trivially serializable across process boundaries.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Mapping
 
 __all__ = [
@@ -76,9 +76,27 @@ class TraceRecord:
 
     def to_json(self) -> dict[str, Any]:
         """A JSON-ready dict with the record's ``kind`` tag included."""
-        payload = asdict(self)  # type: ignore[call-overload]
+        payload = _field_dict(self)
         payload["kind"] = self.kind
         return payload
+
+
+#: dataclass field names per class, read once instead of per record
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_dict(obj: Any) -> dict[str, Any]:
+    """``{field name: value}`` of a flat dataclass instance.
+
+    The shallow equivalent of :func:`dataclasses.asdict` for records whose
+    fields hold scalars (immutable, so the deep copy ``asdict`` makes is
+    the value itself).
+    """
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: getattr(obj, name) for name in names}
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +152,15 @@ class ControlTickRecord(TraceRecord):
     transfer_estimate: float | None = None
     #: per-stage predictions at this tick (predictive policies only)
     stage_predictions: tuple[StagePrediction, ...] = ()
+
+    def to_json(self) -> dict[str, Any]:
+        payload = TraceRecord.to_json(self)
+        # the one nested field: a tuple of dicts, as dataclasses.asdict
+        # renders it
+        payload["stage_predictions"] = tuple(
+            _field_dict(p) for p in self.stage_predictions
+        )
+        return payload
 
 
 @dataclass(frozen=True, slots=True)

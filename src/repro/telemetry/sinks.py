@@ -73,14 +73,25 @@ class MemorySink(TraceSink):
         self._records.clear()
 
 
+#: one JSONL line body: sorted keys, compact separators. ``encode`` takes
+#: CPython's C encoder (``json.dump`` never does) and yields the same bytes.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 class JsonlSink(TraceSink):
     """Appends one JSON object per record to a file.
 
     Lines are serialized with sorted keys and compact separators so a
     trace is byte-deterministic for a deterministic run. The file handle
     opens on the first emit (a tracer constructed but never used leaves
-    no file behind) and is flushed on :meth:`close`.
+    no file behind) and is flushed on :meth:`close`; emitting after
+    :meth:`close` raises ``ValueError`` rather than reopening (and so
+    truncating) the file.
     """
+
+    #: set by close(); a class default, so sinks checkpointed before the
+    #: flag existed still resume
+    _closed = False
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -92,13 +103,12 @@ class JsonlSink(TraceSink):
     def emit(self, record: TraceRecord) -> None:
         if self._file is None:
             self._open()
-        json.dump(
-            record.to_json(), self._file, sort_keys=True, separators=(",", ":")
-        )
-        self._file.write("\n")
+        self._file.write(_ENCODE(record.to_json()) + "\n")
         self._emitted += 1
 
     def _open(self) -> None:
+        if self._closed:
+            raise ValueError(f"trace sink {self.path} is closed")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self._resume_offset is not None:
             # Resuming a checkpointed run: everything the interrupted
@@ -142,6 +152,7 @@ class JsonlSink(TraceSink):
         if self._file is not None:
             self._file.close()
             self._file = None
+        self._closed = True
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -5,8 +5,9 @@ Design constraints (tentpole requirements):
 - **Low overhead when off.** The engine's hot paths guard every emission
   with ``if tracer.enabled:`` so a disabled tracer costs one attribute
   load per potential record — record construction itself is skipped.
-  ``tools/perfbench.py`` and the telemetry overhead test hold this to
-  <2% on the smoke bench.
+  ``tests/telemetry/test_overhead.py`` pins that structure; no wall-clock
+  budget is gated. CI's ``tools/perfbench.py --check --threshold 0.6``
+  only trips on a >60% events/sec drop against ``BENCH_engine.json``.
 - **Zero behavioral footprint.** Tracing is pure observation: it reads
   engine state after decisions are made and never touches RNG streams,
   so a traced run is bit-identical to an untraced one (asserted against

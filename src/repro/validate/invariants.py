@@ -90,6 +90,7 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     capacity and busy-accounting preconditions.
     """
     violations: list[Violation] = []
+    running, pending = InstanceState.RUNNING, InstanceState.PENDING
     expected_running: set[str] = set()
     expected_pending: set[str] = set()
     expected_buckets: dict[int, set[str]] = {}
@@ -97,27 +98,29 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     for instance in pool:
         iid = instance.instance_id
         slots = instance.itype.slots
-        if len(instance.occupants) > slots:
+        state = instance.state
+        occupants = instance.occupants
+        held = len(occupants)
+        if held > slots:
             violations.append(
                 Violation(
                     "slots.capacity",
                     now,
-                    f"instance {iid} holds {len(instance.occupants)} "
-                    f"occupants on {slots} slots",
-                    {"instance": iid, "occupants": sorted(instance.occupants)},
+                    f"instance {iid} holds {held} occupants on {slots} slots",
+                    {"instance": iid, "occupants": sorted(occupants)},
                 )
             )
-        if instance.state is not InstanceState.RUNNING and instance.occupants:
+        if state is not running and occupants:
             violations.append(
                 Violation(
                     "slots.occupied_not_running",
                     now,
-                    f"{instance.state.value} instance {iid} still holds "
-                    f"occupants {sorted(instance.occupants)}",
-                    {"instance": iid, "state": instance.state.value},
+                    f"{state.value} instance {iid} still holds "
+                    f"occupants {sorted(occupants)}",
+                    {"instance": iid, "state": state.value},
                 )
             )
-        if set(instance.occupants) != set(instance._assign_times):
+        if instance._assign_times.keys() != occupants:
             violations.append(
                 Violation(
                     "slots.assign_times",
@@ -127,30 +130,30 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
                     "without a timestamp, undercounting busy_slot_seconds)",
                     {
                         "instance": iid,
-                        "occupants": sorted(instance.occupants),
+                        "occupants": sorted(occupants),
                         "assign_times": sorted(instance._assign_times),
                     },
                 )
             )
-        if instance.busy_slot_seconds < -_TIME_TOL:
+        busy = instance.busy_slot_seconds
+        if busy < -_TIME_TOL:
             violations.append(
                 Violation(
                     "slots.busy_non_negative",
                     now,
-                    f"instance {iid} busy_slot_seconds "
-                    f"{instance.busy_slot_seconds} < 0",
-                    {"instance": iid, "busy": instance.busy_slot_seconds},
+                    f"instance {iid} busy_slot_seconds {busy} < 0",
+                    {"instance": iid, "busy": busy},
                 )
             )
-        if instance.state is InstanceState.RUNNING:
+        if state is running:
             expected_running.add(iid)
-            free = slots - len(instance.occupants)
+            free = slots - held
             if free > 0:
                 expected_buckets.setdefault(free, set()).add(iid)
-        elif instance.state is InstanceState.PENDING:
+        elif state is pending:
             expected_pending.add(iid)
-        for task_id in instance.occupants:
-            expected_placement[task_id] = iid
+        if occupants:
+            expected_placement.update(dict.fromkeys(occupants, iid))
 
     if expected_running != pool._running_ids:
         violations.append(
@@ -218,14 +221,15 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     expected_free = sum(
         free * len(bucket) for free, bucket in expected_buckets.items()
     )
-    if pool.free_slots() != expected_free:
+    actual_free = pool.free_slots()
+    if actual_free != expected_free:
         violations.append(
             Violation(
                 "pool.free_slot_total",
                 now,
-                f"pool.free_slots() == {pool.free_slots()} but occupants "
+                f"pool.free_slots() == {actual_free} but occupants "
                 f"recomputation gives {expected_free}",
-                {"actual": pool.free_slots(), "expected": expected_free},
+                {"actual": actual_free, "expected": expected_free},
             )
         )
     return violations

@@ -1,9 +1,10 @@
 """Guards on the telemetry fast path.
 
-The tentpole's overhead budget — disabled telemetry costs <2% on the
-smoke bench — is enforced in CI by ``tools/perfbench.py --check``
-against the committed pre-telemetry baseline. These tests guard the
-*mechanism* that budget relies on (structural fast-path flags and the
+Disabled telemetry is meant to cost one cached-boolean check per
+emission site. No percentage of it is gated: CI runs
+``tools/perfbench.py --check --threshold 0.6``, which fails only on a
+>60% events/sec drop against the committed ``BENCH_engine.json``. These
+tests guard the *mechanism* instead (structural fast-path flags and the
 absence of per-event allocation when disabled) plus a lenient wall-clock
 bound on *enabled* tracing, which is allowed to do real work.
 """
@@ -64,8 +65,8 @@ class TestOverhead:
     def test_enabled_tracing_wall_clock_is_bounded(self, small_site):
         """Full in-memory tracing stays within 2x of an untraced run.
 
-        Deliberately lenient (CI machines are noisy); the strict <2%
-        *disabled*-path budget lives in ``tools/perfbench.py --check``.
+        Deliberately lenient (CI machines are noisy); the disabled path
+        is held by the structural tests above, not by a timing budget.
         """
 
         def median_seconds(tracer_factory, repetitions=5):

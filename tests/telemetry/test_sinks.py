@@ -107,6 +107,25 @@ class TestJsonlSink:
             sink.emit(attempt(2))
         assert [r.task_id for r in read_jsonl(path)] == ["t2"]
 
+    def test_emit_after_close_raises_instead_of_truncating(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(path)
+        sink.emit(attempt(0))
+        sink.emit(attempt(1))
+        sink.close()
+        with pytest.raises(ValueError, match="trace.jsonl"):
+            sink.emit(attempt(2))
+        assert sink.emitted == 2
+        assert [r.task_id for r in read_jsonl(path)] == ["t0", "t1"]
+
+    def test_emit_after_close_of_unopened_sink_raises(self, tmp_path):
+        path = tmp_path / "never.jsonl"
+        sink = JsonlSink(path)
+        sink.close()
+        with pytest.raises(ValueError, match="closed"):
+            sink.emit(attempt(0))
+        assert not path.exists()
+
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "trace.jsonl"
         with JsonlSink(path) as sink:

@@ -5,6 +5,14 @@ passes, then applies *one* corruption and asserts the matching invariant
 (and only a sensible set) trips. This is the checker checking the
 checker: a rewrite of an invariant that silently stops detecting its
 bug class fails here.
+
+``reference_check_pool_slots`` is the straightforward pool check the
+checker shipped with, its body kept verbatim as an oracle: it copies every
+occupant set and recomputes ``free_slots()`` freely. The production
+:func:`check_pool_slots` avoids those copies, so every pool check below
+also asserts the same ``Violation`` list (invariant, time, message,
+context, order) as the reference, on the hand-built corruptions and on
+hypothesis-generated ones.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from repro.validate import (
     committed_units,
     occupancy_integral,
 )
+from repro.validate.invariants import _TIME_TOL
 
 
 def names(violations) -> set[str]:
@@ -47,6 +56,160 @@ def running_instance(pool: InstancePool, now: float = 0.0) -> Instance:
 # ----------------------------------------------------------------------
 # pool / slot accounting
 # ----------------------------------------------------------------------
+def reference_check_pool_slots(
+    pool: InstancePool, now: float
+) -> list[Violation]:
+    """The straightforward pool check, kept as the oracle for
+    :func:`check_pool_slots`: same checks, violations and order."""
+    violations: list[Violation] = []
+    expected_running: set[str] = set()
+    expected_pending: set[str] = set()
+    expected_buckets: dict[int, set[str]] = {}
+    expected_placement: dict[str, str] = {}
+    for instance in pool:
+        iid = instance.instance_id
+        slots = instance.itype.slots
+        if len(instance.occupants) > slots:
+            violations.append(
+                Violation(
+                    "slots.capacity",
+                    now,
+                    f"instance {iid} holds {len(instance.occupants)} "
+                    f"occupants on {slots} slots",
+                    {"instance": iid, "occupants": sorted(instance.occupants)},
+                )
+            )
+        if instance.state is not InstanceState.RUNNING and instance.occupants:
+            violations.append(
+                Violation(
+                    "slots.occupied_not_running",
+                    now,
+                    f"{instance.state.value} instance {iid} still holds "
+                    f"occupants {sorted(instance.occupants)}",
+                    {"instance": iid, "state": instance.state.value},
+                )
+            )
+        if set(instance.occupants) != set(instance._assign_times):
+            violations.append(
+                Violation(
+                    "slots.assign_times",
+                    now,
+                    f"instance {iid} occupants and busy-accounting assign "
+                    "times disagree (a slot was assigned or vacated "
+                    "without a timestamp, undercounting busy_slot_seconds)",
+                    {
+                        "instance": iid,
+                        "occupants": sorted(instance.occupants),
+                        "assign_times": sorted(instance._assign_times),
+                    },
+                )
+            )
+        if instance.busy_slot_seconds < -_TIME_TOL:
+            violations.append(
+                Violation(
+                    "slots.busy_non_negative",
+                    now,
+                    f"instance {iid} busy_slot_seconds "
+                    f"{instance.busy_slot_seconds} < 0",
+                    {"instance": iid, "busy": instance.busy_slot_seconds},
+                )
+            )
+        if instance.state is InstanceState.RUNNING:
+            expected_running.add(iid)
+            free = slots - len(instance.occupants)
+            if free > 0:
+                expected_buckets.setdefault(free, set()).add(iid)
+        elif instance.state is InstanceState.PENDING:
+            expected_pending.add(iid)
+        for task_id in instance.occupants:
+            expected_placement[task_id] = iid
+
+    if expected_running != pool._running_ids:
+        violations.append(
+            Violation(
+                "pool.state_index",
+                now,
+                "RUNNING id set drifted from instance states",
+                {
+                    "missing": sorted(expected_running - pool._running_ids),
+                    "stale": sorted(pool._running_ids - expected_running),
+                },
+            )
+        )
+    if expected_pending != pool._pending_ids:
+        violations.append(
+            Violation(
+                "pool.state_index",
+                now,
+                "PENDING id set drifted from instance states",
+                {
+                    "missing": sorted(expected_pending - pool._pending_ids),
+                    "stale": sorted(pool._pending_ids - expected_pending),
+                },
+            )
+        )
+    actual_buckets = {
+        free: set(bucket) for free, bucket in pool._buckets.items() if bucket
+    }
+    if actual_buckets != expected_buckets:
+        violations.append(
+            Violation(
+                "pool.free_slot_index",
+                now,
+                "free-slot buckets drifted from occupants recomputation",
+                {
+                    "expected": {
+                        str(k): sorted(v) for k, v in expected_buckets.items()
+                    },
+                    "actual": {
+                        str(k): sorted(v) for k, v in actual_buckets.items()
+                    },
+                },
+            )
+        )
+    if pool._task_instance != expected_placement:
+        extra = set(pool._task_instance) - set(expected_placement)
+        missing = set(expected_placement) - set(pool._task_instance)
+        moved = {
+            t
+            for t in set(pool._task_instance) & set(expected_placement)
+            if pool._task_instance[t] != expected_placement[t]
+        }
+        violations.append(
+            Violation(
+                "pool.placement_index",
+                now,
+                "task-placement map drifted from occupants recomputation",
+                {
+                    "stale": sorted(extra),
+                    "missing": sorted(missing),
+                    "moved": sorted(moved),
+                },
+            )
+        )
+    expected_free = sum(
+        free * len(bucket) for free, bucket in expected_buckets.items()
+    )
+    if pool.free_slots() != expected_free:
+        violations.append(
+            Violation(
+                "pool.free_slot_total",
+                now,
+                f"pool.free_slots() == {pool.free_slots()} but occupants "
+                f"recomputation gives {expected_free}",
+                {"actual": pool.free_slots(), "expected": expected_free},
+            )
+        )
+    return violations
+
+
+def pool_check(pool: InstancePool, now: float) -> list[Violation]:
+    """``check_pool_slots``, asserted equal to the reference."""
+    found = check_pool_slots(pool, now)
+    assert found == reference_check_pool_slots(pool, now)
+    return found
+
+
 class TestPoolSlots:
     def test_clean_pool_passes(self):
         pool = make_pool()
@@ -54,7 +217,7 @@ class TestPoolSlots:
         running_instance(pool)
         pool.create(5.0)  # a PENDING straggler
         a.assign("t1", 1.0)
-        assert check_pool_slots(pool, 10.0) == []
+        assert pool_check(pool, 10.0) == []
 
     def test_over_capacity(self):
         pool = make_pool(slots=1)
@@ -62,7 +225,7 @@ class TestPoolSlots:
         inst.assign("t1", 1.0)
         # bypass assign() to overfill the slot set
         inst.occupants.add("t2")
-        assert "slots.capacity" in names(check_pool_slots(pool, 10.0))
+        assert "slots.capacity" in names(pool_check(pool, 10.0))
 
     def test_occupants_on_non_running_instance(self):
         pool = make_pool()
@@ -70,7 +233,7 @@ class TestPoolSlots:
         inst.assign("t1", 1.0)
         # bypass mark_terminated's occupants guard
         inst.state = InstanceState.TERMINATED
-        found = names(check_pool_slots(pool, 10.0))
+        found = names(pool_check(pool, 10.0))
         assert "slots.occupied_not_running" in found
 
     def test_assign_without_timestamp(self):
@@ -80,19 +243,19 @@ class TestPoolSlots:
         # lose the busy-accounting record while keeping the occupant:
         # exactly what an untimed assign on the engine path would do
         del inst._assign_times["t1"]
-        assert "slots.assign_times" in names(check_pool_slots(pool, 10.0))
+        assert "slots.assign_times" in names(pool_check(pool, 10.0))
 
     def test_negative_busy_accumulator(self):
         pool = make_pool()
         inst = running_instance(pool)
         inst.busy_slot_seconds = -1.0
-        assert "slots.busy_non_negative" in names(check_pool_slots(pool, 10.0))
+        assert "slots.busy_non_negative" in names(pool_check(pool, 10.0))
 
     def test_bucket_drift(self):
         pool = make_pool()
         inst = running_instance(pool)
         pool._buckets[2].discard(inst.instance_id)
-        found = names(check_pool_slots(pool, 10.0))
+        found = names(pool_check(pool, 10.0))
         assert "pool.free_slot_index" in found
         assert "pool.free_slot_total" in found
 
@@ -100,13 +263,13 @@ class TestPoolSlots:
         pool = make_pool()
         running_instance(pool)
         pool._running_ids.add("vm-9999")
-        assert "pool.state_index" in names(check_pool_slots(pool, 10.0))
+        assert "pool.state_index" in names(pool_check(pool, 10.0))
 
     def test_placement_ghost(self):
         pool = make_pool()
         inst = running_instance(pool)
         pool._task_instance["ghost"] = inst.instance_id
-        assert "pool.placement_index" in names(check_pool_slots(pool, 10.0))
+        assert "pool.placement_index" in names(pool_check(pool, 10.0))
 
     def test_placement_moved(self):
         pool = make_pool()
@@ -114,7 +277,7 @@ class TestPoolSlots:
         b = running_instance(pool)
         a.assign("t1", 1.0)
         pool._task_instance["t1"] = b.instance_id
-        found = check_pool_slots(pool, 10.0)
+        found = pool_check(pool, 10.0)
         assert "pool.placement_index" in names(found)
         moved = next(
             v for v in found if v.invariant == "pool.placement_index"
@@ -469,5 +632,127 @@ def test_random_assign_release_keeps_pool_invariants(ops):
         else:
             inst.assign(task, now)
             held[task] = now
-    assert check_pool_slots(pool, now) == []
+    assert pool_check(pool, now) == []
     assert inst.busy_slot_seconds == pytest.approx(expected_busy)
+
+
+# ----------------------------------------------------------------------
+# property: generated pool corruptions, production check == reference
+# ----------------------------------------------------------------------
+STATES = list(InstanceState)
+
+#: per instance: its final state, tasks assigned, and how many of them
+#: are released again
+pool_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["pending", "running", "terminated"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    max_size=8,
+)
+
+#: corruptions, each applied behind the pool's back
+CORRUPTIONS = [
+    "extra_occupant",
+    "missing_occupant",
+    "drop_assign_time",
+    "renamed_assign_time",
+    "flip_state",
+    "stale_bucket",
+    "drop_bucket",
+    "stale_running_id",
+    "drop_running_id",
+    "stale_pending_id",
+    "stale_placement",
+    "moved_placement",
+    "drop_placement",
+    "negative_busy",
+]
+
+#: a corruption's target instance and free parameter
+targets = st.tuples(st.integers(0, 7), st.integers(0, 11))
+
+#: further corruptions stacked on the first
+corruptions = st.lists(
+    st.tuples(
+        st.sampled_from(CORRUPTIONS), st.integers(0, 7), st.integers(0, 11)
+    ),
+    max_size=3,
+)
+
+
+def build_pool(specs) -> tuple[InstancePool, float]:
+    """A consistent pool built through the public API only."""
+    pool = make_pool(slots=3)
+    now = 0.0
+    task = 0
+    for state, assigned, released in specs:
+        now += 1.0
+        inst = pool.create(now)
+        if state == "pending":
+            continue
+        inst.mark_running(now)
+        tasks = [f"t{task + k}" for k in range(assigned)]
+        task += assigned
+        for task_id in tasks:
+            now += 0.5
+            inst.assign(task_id, now)
+        for task_id in tasks[:released]:
+            now += 0.5
+            inst.release(task_id, now)
+        if state == "terminated":
+            for task_id in tasks[released:]:
+                inst.release(task_id, now)
+            inst.mark_terminated(now)
+    return pool, now
+
+
+def corrupt(pool: InstancePool, corruptions) -> None:
+    for kind, pick, n in corruptions:
+        instances = list(pool)
+        if not instances:
+            return
+        inst = instances[pick % len(instances)]
+        iid = inst.instance_id
+        if kind == "extra_occupant":
+            inst.occupants.update(f"x{n}-{k}" for k in range(1 + n % 4))
+        elif kind == "missing_occupant" and inst.occupants:
+            inst.occupants.discard(sorted(inst.occupants)[0])
+        elif kind == "drop_assign_time" and inst._assign_times:
+            del inst._assign_times[sorted(inst._assign_times)[0]]
+        elif kind == "renamed_assign_time" and inst._assign_times:
+            task = sorted(inst._assign_times)[0]
+            inst._assign_times[f"y{n}"] = inst._assign_times.pop(task)
+        elif kind == "flip_state":
+            inst.state = STATES[n % len(STATES)]
+        elif kind == "stale_bucket":
+            pool._buckets.setdefault(1 + n % 4, set()).add(iid)
+        elif kind == "drop_bucket":
+            for bucket in pool._buckets.values():
+                bucket.discard(iid)
+        elif kind == "stale_running_id":
+            pool._running_ids.add(f"vm-ghost-{n}")
+        elif kind == "drop_running_id":
+            pool._running_ids.discard(iid)
+        elif kind == "stale_pending_id":
+            pool._pending_ids.add(iid)
+        elif kind == "stale_placement":
+            pool._task_instance[f"ghost{n}"] = iid
+        elif kind == "moved_placement" and pool._task_instance:
+            task = sorted(pool._task_instance)[n % len(pool._task_instance)]
+            pool._task_instance[task] = iid
+        elif kind == "drop_placement" and pool._task_instance:
+            del pool._task_instance[sorted(pool._task_instance)[0]]
+        elif kind == "negative_busy":
+            inst.busy_slot_seconds = -_TIME_TOL * (2 + n)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=60, deadline=None)
+@given(specs=pool_specs, target=targets, more=corruptions)
+def test_generated_corruptions_match_reference(kind, specs, target, more):
+    pool, now = build_pool(specs)
+    assert pool_check(pool, now) == []
+    corrupt(pool, [(kind, *target), *more])
+    pool_check(pool, now)

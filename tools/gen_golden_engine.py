@@ -11,6 +11,7 @@ it only when a semantic engine change is intended and reviewed:
     PYTHONPATH=src python tools/gen_golden_engine.py --check --traced
     PYTHONPATH=src python tools/gen_golden_engine.py --check --no-chaos
     PYTHONPATH=src python tools/gen_golden_engine.py --check --validate
+    PYTHONPATH=src python tools/gen_golden_engine.py --check --traced --validate
 
 Besides the 66 single-run fingerprints the file pins SHA-256 digests of
 bytes: ``fleet/<name>`` keys hold the :meth:`~repro.fleet.result.
@@ -21,8 +22,9 @@ run (plain, chaos, validated).
 
 ``--check`` re-runs every scenario and exits nonzero on any fingerprint
 drift (the CI gate over the full matrix; the unit suite samples a fast
-subset). ``--traced`` attaches a telemetry tracer to every run, proving
-tracing is pure observation — fingerprints must not move. ``--no-chaos``
+subset). ``--traced`` attaches a telemetry tracer writing through a
+:class:`~repro.telemetry.JsonlSink` to every run, proving tracing and its
+JSON encoding are pure observation — fingerprints must not move. ``--no-chaos``
 passes an all-disabled :class:`~repro.cloud.faults.ChaosSpec` to every
 run, proving the disabled chaos path is zero-cost — fingerprints must
 not move either. ``--validate`` attaches a collect-mode runtime
@@ -303,6 +305,7 @@ def pins(tracer_factory=None, chaos=None, validate_factory=None) -> dict:
     out = {}
     for name, sim in fleet_scenarios(tracer_factory, chaos, validate_factory):
         summary = sim.run().to_summary_json()
+        sim.tracer.close()
         out[name] = {"sha256": _sha256(summary.encode("utf-8"))}
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in trace_scenarios():
@@ -351,12 +354,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    tracer_factory = None
-    if args.traced:
-        from repro.telemetry import MemorySink, Tracer
-
-        tracer_factory = lambda: Tracer(MemorySink(maxlen=4096))  # noqa: E731
-
     chaos = None
     if args.no_chaos:
         from repro.cloud.faults import NO_CHAOS
@@ -371,13 +368,21 @@ def main(argv=None) -> int:
 
     payload = {}
     violations = {}
-    for name, sim in scenarios(tracer_factory, chaos, validate_factory):
-        payload[name] = fingerprint(sim.run())
-        if args.validate and sim.validator.violations:
-            violations[name] = sim.validator.violations
-        if not args.check:
-            print(f"  {name}")
-    payload.update(pins(tracer_factory, chaos, validate_factory))
+    with tempfile.TemporaryDirectory() as trace_dir:
+        tracer_factory = None
+        if args.traced:
+            # Every run writes its trace through the real JSONL sink (one
+            # file, rewritten per run), so the encoder is on the path.
+            trace_path = Path(trace_dir) / "trace.jsonl"
+            tracer_factory = lambda: Tracer(JsonlSink(trace_path))  # noqa: E731
+        for name, sim in scenarios(tracer_factory, chaos, validate_factory):
+            payload[name] = fingerprint(sim.run())
+            sim.tracer.close()
+            if args.validate and sim.validator.violations:
+                violations[name] = sim.validator.violations
+            if not args.check:
+                print(f"  {name}")
+        payload.update(pins(tracer_factory, chaos, validate_factory))
 
     if violations:
         print(f"FAIL: {len(violations)} scenario(s) reported violations:")
