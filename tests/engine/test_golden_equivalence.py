@@ -87,7 +87,7 @@ class TestGoldenEquivalence:
 
 
 class TestBytePins:
-    """Fleet summary JSON and JSONL trace bytes, pinned by SHA-256."""
+    """Fleet summary JSON, JSONL trace and workflow JSON bytes, pinned by SHA-256."""
 
     def test_pins_hold(self):
         generator = load_generator()
@@ -96,5 +96,6 @@ class TestBytePins:
             k: v for k, v in golden.items() if k.startswith(generator.PIN_PREFIXES)
         }
         # 8 fleet summaries + 3 single-run traces + 2 fleet traces
-        assert len(pinned) == 13
+        # + 8 Table I specs x 2 seeds
+        assert len(pinned) == 29
         assert generator.pins() == pinned

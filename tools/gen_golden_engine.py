@@ -18,7 +18,11 @@ bytes: ``fleet/<name>`` keys hold the :meth:`~repro.fleet.result.
 FleetResult.to_summary_json` of a fleet run (every allocation policy and
 fleet autoscaler, a chaos run, an admission-capped run) and
 ``trace/<name>`` keys hold the JSONL trace of a traced single or fleet
-run (plain, chaos, validated).
+run (plain, chaos, validated), and ``workflow/<spec>/s<seed>`` keys hold
+the :func:`~repro.dag.serialize.workflow_to_json` document of every
+Table I spec realized at seeds 0 and 1 (each taken from a repeat
+realization of its spec, so a spec's second ``generate`` is what is
+pinned).
 
 ``--check`` re-runs every scenario and exits nonzero on any fingerprint
 drift (the CI gate over the full matrix; the unit suite samples a fast
@@ -51,6 +55,7 @@ from repro.autoscalers import (
 )
 from repro.cloud import exogeni_site
 from repro.cloud.faults import parse_chaos_spec
+from repro.dag.serialize import workflow_to_json
 from repro.engine.faults import RandomFaults
 from repro.engine.simulator import Simulation
 from repro.experiments.harness import default_transfer_model
@@ -168,7 +173,7 @@ def fingerprint(result) -> dict:
 PIN_CHAOS = "revocations=6,stragglers=0.3,pfail=0.3,blackouts=0.2"
 
 #: key prefixes of the byte pins (every other key is a run fingerprint)
-PIN_PREFIXES = ("fleet/", "trace/")
+PIN_PREFIXES = ("fleet/", "trace/", "workflow/")
 
 
 def _fleet(
@@ -300,9 +305,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def workflow_pins() -> dict:
+    """``workflow/*`` pins: every Table I spec at seeds 0 and 1.
+
+    Each spec is realized once before the pinned realizations, so the
+    pinned documents come from repeat ``generate`` calls on one spec.
+    """
+    out = {}
+    for name, spec in table1_specs().items():
+        spec.generate(0)
+        for seed in (0, 1):
+            text = workflow_to_json(spec.generate(seed))
+            out[f"workflow/{name}/s{seed}"] = {"sha256": _sha256(text.encode("utf-8"))}
+    return out
+
+
 def pins(tracer_factory=None, chaos=None, validate_factory=None) -> dict:
     """Every byte pin: key -> {"sha256": digest}."""
-    out = {}
+    out = workflow_pins()
     for name, sim in fleet_scenarios(tracer_factory, chaos, validate_factory):
         summary = sim.run().to_summary_json()
         sim.tracer.close()
