@@ -66,8 +66,10 @@ __all__ = [
 #: leading bytes of every checkpoint file
 CHECKPOINT_MAGIC = b"WIRECKPT"
 #: bumped whenever the on-disk layout or pickled engine schema changes
-#: (2: both engines share one core and its run objects)
-CHECKPOINT_VERSION = 2
+#: (2: both engines share one core and its run objects; 3: a workflow
+#: pickles its tasks plus a DagStructure shared with its spec's other
+#: realizations)
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

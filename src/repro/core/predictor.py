@@ -568,7 +568,7 @@ class TaskPredictor:
         self._shared = shared_cache if shared_cache is not None else SharedEvalCache()
         #: input size per task (hot in the Policy 4/5 path)
         self._input_size: dict[str, float] = {
-            tid: workflow.task(tid).input_size for tid in workflow.tasks
+            tid: task.input_size for tid, task in workflow.tasks.items()
         }
         stage_of = workflow.stage_of
         #: task -> (stage id, input size), prebuilt so the remaining-
@@ -576,9 +576,7 @@ class TaskPredictor:
         self._stage_size_key: dict[str, tuple[str, float]] = {
             tid: (stage_of[tid], size) for tid, size in self._input_size.items()
         }
-        self._topo_index: dict[str, int] = {
-            tid: k for k, tid in enumerate(workflow.topological_order())
-        }
+        self._topo_index: dict[str, int] = workflow.structure.topo_index
         # incremental completed-aggregate state (fed by the monitor log)
         self._acc: dict[str, _StageAccumulator] = {}
         self._acc_monitor: int | None = None

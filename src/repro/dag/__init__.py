@@ -16,11 +16,13 @@ from repro.dag.analysis import (
 )
 from repro.dag.builder import WorkflowBuilder
 from repro.dag.stage import Stage
+from repro.dag.structure import CycleError, DagStructure
 from repro.dag.task import Task
-from repro.dag.workflow import CycleError, Workflow
+from repro.dag.workflow import Workflow
 
 __all__ = [
     "CycleError",
+    "DagStructure",
     "ParallelismProfile",
     "Stage",
     "Task",

@@ -26,8 +26,9 @@ __all__ = [
 def _levels(workflow: Workflow) -> dict[str, int]:
     """Longest-path depth (in edges) of every task from the roots."""
     level: dict[str, int] = {}
+    parent_ids = workflow.structure.parent_ids
     for tid in workflow.topological_order():
-        parents = workflow.parents(tid)
+        parents = parent_ids[tid]
         level[tid] = 0 if not parents else 1 + max(level[p] for p in parents)
     return level
 
@@ -58,12 +59,10 @@ def critical_path_length(workflow: Workflow) -> float:
     instances and free, instantaneous data transfers.
     """
     finish: dict[str, float] = {}
+    parent_ids = workflow.structure.parent_ids
     for tid in workflow.topological_order():
-        task = workflow.task(tid)
-        start = max(
-            (finish[p] for p in workflow.parents(tid)), default=0.0
-        )
-        finish[tid] = start + task.runtime
+        start = max((finish[p] for p in parent_ids[tid]), default=0.0)
+        finish[tid] = start + workflow.task(tid).runtime
     return max(finish.values())
 
 

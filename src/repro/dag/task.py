@@ -11,11 +11,14 @@ measured durations) lives in the execution engine
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative
 
 __all__ = ["Task"]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,21 @@ class Task:
             raise ValueError("task_id must be a non-empty string")
         if not self.executable:
             raise ValueError("executable must be a non-empty string")
-        check_non_negative("runtime", self.runtime)
-        check_non_negative("input_size", self.input_size)
-        check_non_negative("output_size", self.output_size)
+        runtime, input_size, output_size = (
+            self.runtime, self.input_size, self.output_size
+        )
+        # Fast path: plain floats in [0, max] are exactly the floats
+        # check_non_negative accepts; anything else gets its full checks
+        # and messages.
+        if (
+            type(runtime) is float
+            and type(input_size) is float
+            and type(output_size) is float
+            and 0.0 <= runtime <= _FLOAT_MAX
+            and 0.0 <= input_size <= _FLOAT_MAX
+            and 0.0 <= output_size <= _FLOAT_MAX
+        ):
+            return
+        check_non_negative("runtime", runtime)
+        check_non_negative("input_size", input_size)
+        check_non_negative("output_size", output_size)

@@ -3,27 +3,32 @@
 A :class:`Workflow` is an immutable, validated DAG of
 :class:`~repro.dag.task.Task` objects with data-flow dependency edges. It is
 the static structure WIRE's lookahead simulator walks (paper §II-C property
-2: "the load flows of a run are predictable").
+2: "the load flows of a run are predictable"). Its seed-independent half is
+a :class:`~repro.dag.structure.DagStructure` that realizations of one spec
+share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.dag.stage import Stage
+from repro.dag.structure import CycleError, DagStructure
 from repro.dag.task import Task
 
 __all__ = ["CycleError", "Workflow"]
 
 
-class CycleError(ValueError):
-    """Raised when the declared dependencies contain a cycle."""
-
-
 class Workflow:
-    """An immutable task DAG.
+    """An immutable task DAG: a shared structure plus this run's tasks.
+
+    The seed-independent half — ids, executables, edges and every view
+    derived from them — lives in a :class:`~repro.dag.structure.
+    DagStructure` (:attr:`structure`) that realizations of one spec
+    share; the workflow itself holds only its name and its
+    :class:`Task` records.
 
     Parameters
     ----------
@@ -52,36 +57,56 @@ class Workflow:
     ) -> None:
         if not name:
             raise ValueError("workflow name must be non-empty")
+        tasks = list(tasks)
+        structure = DagStructure(
+            [task.task_id for task in tasks],
+            [task.executable for task in tasks],
+            edges,
+            name=name,
+        )
+        self._bind(name, structure, tasks)
+
+    @classmethod
+    def realize(
+        cls, name: str, structure: DagStructure, tasks: Sequence[Task]
+    ) -> Workflow:
+        """A workflow of ``tasks`` on an already validated ``structure``.
+
+        ``tasks`` must follow ``structure.task_ids`` one to one, with the
+        structure's executables; the edges are not checked again. This is
+        how :meth:`~repro.workloads.StagedWorkflowSpec.generate` binds each
+        seed's tasks to the structure its spec derived once.
+        """
+        if not name:
+            raise ValueError("workflow name must be non-empty")
+        if len(tasks) != len(structure.task_ids):
+            raise ValueError(
+                f"{len(tasks)} tasks for a structure of "
+                f"{len(structure.task_ids)} tasks"
+            )
+        workflow = cls.__new__(cls)
+        workflow._bind(name, structure, tasks)
+        return workflow
+
+    def _bind(
+        self, name: str, structure: DagStructure, tasks: Sequence[Task]
+    ) -> None:
         self.name = name
-        self._tasks: dict[str, Task] = {}
-        for task in tasks:
-            if task.task_id in self._tasks:
-                raise ValueError(f"duplicate task id {task.task_id!r}")
-            self._tasks[task.task_id] = task
-        if not self._tasks:
-            raise ValueError("workflow must contain at least one task")
-
-        self._parents: dict[str, set[str]] = {tid: set() for tid in self._tasks}
-        self._children: dict[str, set[str]] = {tid: set() for tid in self._tasks}
-        for parent, child in edges:
-            if parent not in self._tasks:
-                raise ValueError(f"edge parent {parent!r} is not a task")
-            if child not in self._tasks:
-                raise ValueError(f"edge child {child!r} is not a task")
-            if parent == child:
-                raise ValueError(f"self-edge on task {parent!r}")
-            self._parents[child].add(parent)
-            self._children[parent].add(child)
-
-        self._topological = self._compute_topological_order()
+        self._structure = structure
+        self._tasks: dict[str, Task] = dict(zip(structure.task_ids, tasks))
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
     @property
+    def structure(self) -> DagStructure:
+        """The seed-independent DAG this workflow's tasks are bound to."""
+        return self._structure
+
+    @property
     def tasks(self) -> Mapping[str, Task]:
-        """Mapping of task id to :class:`Task`."""
-        return dict(self._tasks)
+        """Read-only mapping of task id to :class:`Task`, in insertion order."""
+        return MappingProxyType(self._tasks)
 
     def task(self, task_id: str) -> Task:
         """Return the task with ``task_id``."""
@@ -95,144 +120,65 @@ class Workflow:
 
     def __iter__(self) -> Iterator[Task]:
         """Iterate tasks in topological order."""
-        return (self._tasks[tid] for tid in self._topological)
+        tasks = self._tasks
+        return (tasks[tid] for tid in self._structure.topological)
 
     def parents(self, task_id: str) -> frozenset[str]:
         """Ids of the tasks that must complete before ``task_id`` starts."""
-        return frozenset(self._parents[task_id])
+        return self._structure.parents(task_id)
 
     def children(self, task_id: str) -> frozenset[str]:
         """Ids of the tasks that depend on ``task_id``."""
-        return frozenset(self._children[task_id])
+        return self._structure.children(task_id)
 
-    @cached_property
+    @property
     def children_tuples(self) -> dict[str, tuple[str, ...]]:
-        """Per-task children as tuples, in :meth:`children`'s iteration order.
+        """Per-task children as tuples, in :meth:`children`'s iteration order."""
+        return self._structure.children_tuples
 
-        Built once and shared by every per-tick consumer (the predictor's
-        completion-delta walk visits the children of thousands of tasks),
-        avoiding a fresh frozenset copy per call. The tuple order matches
-        what iterating :meth:`children` yields, so swapping a call site to
-        this map cannot reorder any downstream traversal.
-        """
-        return {tid: tuple(frozenset(cs)) for tid, cs in self._children.items()}
-
-    @cached_property
+    @property
     def sorted_children(self) -> dict[str, tuple[str, ...]]:
-        """Per-task children as sorted tuples (deterministic traversal).
+        """Per-task children as sorted tuples (deterministic traversal)."""
+        return self._structure.sorted_children
 
-        The lookahead simulator enqueues newly-ready children in sorted
-        order; sharing one prebuilt map keeps that sort out of the
-        per-projection hot path.
-        """
-        return {tid: tuple(sorted(cs)) for tid, cs in self._children.items()}
-
-    @cached_property
+    @property
     def parent_counts(self) -> dict[str, int]:
         """Per-task total parent count, shared by the tracking rebuilds."""
-        return {tid: len(ps) for tid, ps in self._parents.items()}
+        return self._structure.parent_counts
 
-    @cached_property
+    @property
     def roots(self) -> tuple[str, ...]:
         """Task ids with no parents, in topological order."""
-        return tuple(t for t in self._topological if not self._parents[t])
+        return self._structure.roots
 
-    @cached_property
+    @property
     def leaves(self) -> tuple[str, ...]:
         """Task ids with no children, in topological order."""
-        return tuple(t for t in self._topological if not self._children[t])
+        return self._structure.leaves
 
     def topological_order(self) -> tuple[str, ...]:
         """All task ids in a deterministic topological order.
 
         Ties are broken by task id so the order is stable across runs.
         """
-        return self._topological
-
-    def _compute_topological_order(self) -> tuple[str, ...]:
-        in_degree = {tid: len(ps) for tid, ps in self._parents.items()}
-        # Deterministic Kahn's algorithm: the frontier is kept sorted.
-        frontier = sorted(tid for tid, deg in in_degree.items() if deg == 0)
-        queue = deque(frontier)
-        order: list[str] = []
-        while queue:
-            tid = queue.popleft()
-            order.append(tid)
-            ready: list[str] = []
-            for child in self._children[tid]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    ready.append(child)
-            for child in sorted(ready):
-                queue.append(child)
-        if len(order) != len(self._tasks):
-            unresolved = sorted(tid for tid, deg in in_degree.items() if deg > 0)
-            raise CycleError(
-                f"workflow {self.name!r} has a dependency cycle involving "
-                f"{unresolved[:5]}"
-            )
-        return tuple(order)
+        return self._structure.topological
 
     # ------------------------------------------------------------------
     # stage inference
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def stages(self) -> tuple[Stage, ...]:
-        """Infer stages: groups with equal executable and predecessor stages.
+        """Inferred stages (see :attr:`DagStructure.stages`)."""
+        return self._structure.stages
 
-        Following the paper's definition (§I), a task's stage is determined
-        by its executable plus the *stages* (not individual tasks) of its
-        parents, computed in topological order. Stage ids are
-        ``"<executable>#<k>"`` with ``k`` disambiguating same-executable
-        groups with different predecessors, numbered in topological order of
-        first appearance.
-        """
-        task_stage: dict[str, str] = {}
-        key_to_stage: dict[tuple[str, frozenset[str]], str] = {}
-        members: dict[str, list[str]] = {}
-        preds: dict[str, frozenset[str]] = {}
-        exe_counter: dict[str, int] = {}
-
-        for tid in self._topological:
-            task = self._tasks[tid]
-            parent_stages = frozenset(task_stage[p] for p in self._parents[tid])
-            key = (task.executable, parent_stages)
-            stage_id = key_to_stage.get(key)
-            if stage_id is None:
-                index = exe_counter.get(task.executable, 0)
-                exe_counter[task.executable] = index + 1
-                stage_id = f"{task.executable}#{index}"
-                key_to_stage[key] = stage_id
-                members[stage_id] = []
-                preds[stage_id] = parent_stages
-            task_stage[tid] = stage_id
-            members[stage_id].append(tid)
-
-        return tuple(
-            Stage(
-                stage_id=sid,
-                executable=sid.rsplit("#", 1)[0],
-                task_ids=tuple(members[sid]),
-                predecessor_stage_ids=preds[sid],
-            )
-            for sid in members
-        )
-
-    @cached_property
+    @property
     def stage_of(self) -> Mapping[str, str]:
         """Mapping of task id to its inferred stage id."""
-        mapping: dict[str, str] = {}
-        for stage in self.stages:
-            for tid in stage.task_ids:
-                mapping[tid] = stage.stage_id
-        return mapping
+        return self._structure.stage_of
 
     def stage(self, stage_id: str) -> Stage:
         """Return the stage with ``stage_id``."""
-        for stage in self.stages:
-            if stage.stage_id == stage_id:
-                return stage
-        raise KeyError(stage_id)
+        return self._structure.stage(stage_id)
 
     # ------------------------------------------------------------------
     # aggregate properties

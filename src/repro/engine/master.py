@@ -48,16 +48,16 @@ class FrameworkMaster:
 
     def __init__(self, workflow: Workflow) -> None:
         self.workflow = workflow
-        self._state: dict[str, TaskExecState] = {}
-        self._unfinished_parents: dict[str, int] = {}
-        self._attempts: dict[str, int] = {tid: 0 for tid in workflow.tasks}
+        structure = workflow.structure
+        #: task id -> state, in topological order
+        self._state: dict[str, TaskExecState] = dict.fromkeys(
+            structure.topological, TaskExecState.BLOCKED
+        )
+        self._state.update(dict.fromkeys(structure.roots, TaskExecState.READY))
+        self._unfinished_parents: dict[str, int] = dict(structure.parent_counts)
+        self._attempts: dict[str, int] = dict.fromkeys(structure.task_ids, 0)
+        self._sorted_children = structure.sorted_children
         self._completed_count = 0
-        for tid in workflow.topological_order():
-            parents = workflow.parents(tid)
-            self._unfinished_parents[tid] = len(parents)
-            self._state[tid] = (
-                TaskExecState.READY if not parents else TaskExecState.BLOCKED
-            )
 
     # ------------------------------------------------------------------
     # queries
@@ -159,7 +159,7 @@ class FrameworkMaster:
         self._state[task_id] = TaskExecState.COMPLETED
         self._completed_count += 1
         newly_ready: list[str] = []
-        for child in sorted(self.workflow.children(task_id)):
+        for child in self._sorted_children[task_id]:
             self._unfinished_parents[child] -= 1
             if self._unfinished_parents[child] == 0:
                 self._state[child] = TaskExecState.READY

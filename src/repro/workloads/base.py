@@ -4,7 +4,9 @@ A workload is described as a sequence of :class:`StageTemplate` objects —
 one per stage, with task counts, target mean execution times, intra-stage
 skew, input-size models, and inter-stage linkage — and realized into a
 concrete :class:`~repro.dag.workflow.Workflow` by
-:class:`StagedWorkflowSpec.generate`.
+:class:`StagedWorkflowSpec.generate`. The DAG depends on the templates
+only, so a spec derives it once (:attr:`StagedWorkflowSpec.structure`)
+and each seed samples just sizes and runtimes.
 
 Design notes (tying back to the paper):
 
@@ -21,11 +23,13 @@ Design notes (tying back to the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Protocol
 
 import numpy as np
 
-from repro.dag.builder import WorkflowBuilder
+from repro.dag.structure import DagStructure
 from repro.dag.task import Task
 from repro.dag.workflow import Workflow
 from repro.util.rng import spawn_rng
@@ -243,23 +247,66 @@ class StagedWorkflowSpec:
         """Total task count across stages."""
         return sum(t.count for t in self.templates)
 
+    @cached_property
+    def structure(self) -> DagStructure:
+        """This spec's DAG: task ids, executables and linkage edges.
+
+        It depends on the templates only, never on a seed, so it is
+        derived once per spec instance and every :meth:`generate` binds
+        its tasks to it. It is not pickled with the spec.
+        """
+        task_ids: list[str] = []
+        executables: list[str] = []
+        edges: list[tuple[str, str]] = []
+        previous_ids: list[str] = []
+        for index, template in enumerate(self.templates):
+            prefix = f"s{index:02d}-{template.executable}"
+            width = max(4, len(str(template.count - 1)))
+            ids = [f"{prefix}-{i:0{width}d}" for i in range(template.count)]
+            for task_id, parents in zip(ids, _stage_parents(template, previous_ids)):
+                edges.extend((parent, task_id) for parent in parents)
+            task_ids += ids
+            executables += [template.executable] * template.count
+            previous_ids = ids
+        return DagStructure(task_ids, executables, edges, name=self.name)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("structure", None)
+        return state
+
     def generate(self, seed: int = 0) -> Workflow:
         """Realize a concrete workflow for this seed.
 
         Different seeds produce different input sizes and runtimes from
-        the same templates — the paper's cross-run variability.
+        the same templates — the paper's cross-run variability. The DAG
+        itself is :attr:`structure`, shared by every seed.
         """
-        builder = WorkflowBuilder(f"{self.name}-seed{seed}")
-        previous_ids: list[str] = []
+        structure = self.structure
+        tasks: list[Task] = []
+        start = 0
         for index, template in enumerate(self.templates):
             rng = spawn_rng(seed, f"{self.name}/{template.executable}/{index}")
             sizes = np.asarray(
                 template.size_model.sample(template.count, rng), dtype=float
             )
+            if sizes.shape != (template.count,):
+                raise ValueError(
+                    f"size model of stage {index} ({template.executable!r}) "
+                    f"returned shape {sizes.shape} for {template.count} tasks"
+                )
             runtimes = _realize_runtimes(template, sizes, rng)
-            ids = _emit_stage(builder, template, index, sizes, runtimes, previous_ids)
-            previous_ids = ids
-        return builder.build()
+            end = start + template.count
+            tasks += map(
+                Task,
+                structure.task_ids[start:end],
+                repeat(template.executable),
+                runtimes.tolist(),
+                sizes.tolist(),
+                (sizes * template.output_fraction).tolist(),
+            )
+            start = end
+        return Workflow.realize(f"{self.name}-seed{seed}", structure, tasks)
 
 
 def _realize_runtimes(
@@ -284,22 +331,13 @@ def _realize_runtimes(
     return np.maximum(base * noise, _MIN_RUNTIME)
 
 
-def _emit_stage(
-    builder: WorkflowBuilder,
-    template: StageTemplate,
-    index: int,
-    sizes: np.ndarray,
-    runtimes: np.ndarray,
-    previous_ids: list[str],
-) -> list[str]:
-    """Add one stage's tasks with the declared linkage."""
-    prefix = f"s{index:02d}-{template.executable}"
-    width = max(4, len(str(template.count - 1)))
-    ids = [f"{prefix}-{i:0{width}d}" for i in range(template.count)]
-
+def _stage_parents(
+    template: StageTemplate, previous_ids: list[str]
+) -> list[list[str]]:
+    """Each of the stage's tasks' parents, by the declared linkage."""
     if not previous_ids or template.linkage == "all":
-        parent_sets: list[list[str]] = [previous_ids] * template.count
-    elif template.linkage == "one_to_one":
+        return [previous_ids] * template.count
+    if template.linkage == "one_to_one":
         if len(previous_ids) % template.count != 0:
             raise ValueError(
                 f"one_to_one linkage needs predecessor count divisible by "
@@ -308,30 +346,18 @@ def _emit_stage(
         # With equal counts this is a per-chunk pipeline; with fewer
         # children each child takes an equal contiguous share.
         share = len(previous_ids) // template.count
-        parent_sets = [
+        return [
             previous_ids[i * share : (i + 1) * share] for i in range(template.count)
         ]
-    else:  # "block": contiguous partition, remainder spread over the front
-        share, extra = divmod(len(previous_ids), template.count)
-        parent_sets = []
-        cursor = 0
-        for i in range(template.count):
-            take = share + (1 if i < extra else 0)
-            parent_sets.append(previous_ids[cursor : cursor + take])
-            cursor += take
-
-    for i, task_id in enumerate(ids):
-        builder.add_task(
-            Task(
-                task_id=task_id,
-                executable=template.executable,
-                runtime=float(runtimes[i]),
-                input_size=float(sizes[i]),
-                output_size=float(sizes[i]) * template.output_fraction,
-            ),
-            parents=parent_sets[i],
-        )
-    return ids
+    # "block": contiguous partition, remainder spread over the front
+    share, extra = divmod(len(previous_ids), template.count)
+    parent_sets = []
+    cursor = 0
+    for i in range(template.count):
+        take = share + (1 if i < extra else 0)
+        parent_sets.append(previous_ids[cursor : cursor + take])
+        cursor += take
+    return parent_sets
 
 
 @dataclass(frozen=True)

@@ -89,22 +89,32 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def test_rejects_version_1(self, small_fleet, tmp_path):
-        # Version 1 pickled the two engines before they shared one core;
-        # its payload cannot be restored into today's classes.
+    @staticmethod
+    def assert_rejects_old_version(small_fleet, tmp_path, version):
         path = interrupted_checkpoint(small_fleet, tmp_path)
         sim = load_checkpoint(path)
         import repro.checkpoint as cp
 
+        current = cp.CHECKPOINT_VERSION
         try:
-            cp.CHECKPOINT_VERSION = 1
+            cp.CHECKPOINT_VERSION = version
             save_checkpoint(sim, path)
         finally:
-            cp.CHECKPOINT_VERSION = 2
+            cp.CHECKPOINT_VERSION = current
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(path)
         message = str(excinfo.value)
-        assert "version 1" in message and "version 2" in message
+        assert f"version {version}" in message and f"version {current}" in message
+
+    def test_rejects_version_1(self, small_fleet, tmp_path):
+        # Version 1 pickled the two engines before they shared one core;
+        # its payload cannot be restored into today's classes.
+        self.assert_rejects_old_version(small_fleet, tmp_path, 1)
+
+    def test_rejects_version_2(self, small_fleet, tmp_path):
+        # Version 2 pickled each Workflow with its own edge sets; since
+        # version 3 a workflow holds its tasks and a shared DagStructure.
+        self.assert_rejects_old_version(small_fleet, tmp_path, 2)
 
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
