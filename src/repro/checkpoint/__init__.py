@@ -68,8 +68,9 @@ CHECKPOINT_MAGIC = b"WIRECKPT"
 #: bumped whenever the on-disk layout or pickled engine schema changes
 #: (2: both engines share one core and its run objects; 3: a workflow
 #: pickles its tasks plus a DagStructure shared with its spec's other
-#: realizations)
-CHECKPOINT_VERSION = 3
+#: realizations; 4: a heap-only event queue, and task events carry an
+#: attempt handle instead of a task id)
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

@@ -14,7 +14,7 @@ from repro.engine.control import (
     ScalingDecision,
     TerminationOrder,
 )
-from repro.engine.events import Event, EventKind, EventQueue
+from repro.engine.events import Event, EventKind, EventQueue, EventState
 from repro.engine.faults import FaultModel, NoFaults, RandomFaults
 from repro.engine.master import FrameworkMaster, TaskExecState
 from repro.engine.monitor import Monitor, TaskAttempt
@@ -40,6 +40,7 @@ __all__ = [
     "Event",
     "EventKind",
     "EventQueue",
+    "EventState",
     "ExponentialTransferModel",
     "FaultModel",
     "FifoScheduler",

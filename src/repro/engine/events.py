@@ -13,12 +13,11 @@ insertion counter breaks remaining ties, keeping runs bit-reproducible.
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any
 
-__all__ = ["Event", "EventKind", "EventQueue"]
+__all__ = ["Event", "EventKind", "EventQueue", "EventState"]
 
 
 class EventKind(enum.Enum):
@@ -36,143 +35,140 @@ class EventKind(enum.Enum):
     PROVISION_RETRY = "provision_retry"  # backoff elapsed; re-issue a launch
     WORKFLOW_ARRIVAL = "workflow_arrival"  # a tenant submits a workflow (fleet)
 
-    @property
-    def priority(self) -> int:
-        """Same-timestamp ordering class (lower fires first)."""
-        return _PRIORITY[self]
+    #: same-timestamp ordering class (lower fires first); set on each
+    #: member below, so a push reads an attribute instead of hashing an
+    #: enum member (``Enum.__hash__`` is Python code)
+    priority: int
 
 
-#: same-timestamp ordering classes (lower fires first); a flat table so
-#: the per-push cost is one dict hit instead of an enum property call
-_PRIORITY = {kind: 0 for kind in EventKind}
-_PRIORITY[EventKind.INSTANCE_TERMINATE] = 1
+for _kind in EventKind:
+    _kind.priority = 0
+EventKind.INSTANCE_TERMINATE.priority = 1
 # A revocation at time t must not beat a completion at time t: the task
 # legitimately finished before the provider pulled the plug. Same
 # ordering class as a planned release.
-_PRIORITY[EventKind.INSTANCE_REVOKED] = 1
-_PRIORITY[EventKind.CONTROLLER_TICK] = 2
+EventKind.INSTANCE_REVOKED.priority = 1
+EventKind.CONTROLLER_TICK.priority = 2
+del _kind
 
 
-@dataclass(frozen=True, slots=True)
+class EventState(enum.Enum):
+    """Where an event is in its life; only a QUEUED event will fire."""
+
+    QUEUED = "queued"
+    CANCELLED = "cancelled"
+    POPPED = "popped"
+
+
+_QUEUED = EventState.QUEUED
+_CANCELLED = EventState.CANCELLED
+_POPPED = EventState.POPPED
+
+
+@dataclass(slots=True, eq=False)
 class Event:
     """One scheduled occurrence.
 
-    ``payload`` identifies the subject (a task id, an instance id, ...).
-    Events carry no behaviour; the simulator dispatches on ``kind``.
+    ``payload`` identifies the subject (an attempt handle, an instance
+    id, ...). Events carry no behaviour; the simulator dispatches on
+    ``kind``. ``state`` is the one mutable field: the queue moves it
+    from QUEUED to CANCELLED or POPPED. Events compare by identity.
     """
 
     time: float
     seq: int
     kind: EventKind
     payload: Any = None
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
+    state: EventState = _QUEUED
 
 
-@dataclass
 class EventQueue:
     """A deterministic min-heap of events.
 
-    Cancellation is lazy (cancelled events stay heap-resident until
-    popped) and idempotent: cancelling an event that was already popped,
-    or cancelling twice, is a no-op, so ``__len__`` stays exact.
+    Cancellation is lazy (a cancelled event stays heap-resident until it
+    reaches the top) and idempotent: cancelling an event that was already
+    popped, or cancelling twice, is a no-op, so ``len()`` stays exact.
+    The heap is the only index; the live count is a plain integer.
     """
 
-    _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
-    _counter: itertools.count = field(default_factory=itertools.count)
-    _cancelled: set[int] = field(default_factory=set)
-    #: seqs currently in the heap and not cancelled
-    _live: set[int] = field(default_factory=set)
-    #: live events grouped by payload, so cancelling everything that
-    #: belongs to one subject (e.g. a revoked instance) is O(events on
-    #: that subject) instead of a full-heap scan; unhashable payloads
-    #: are simply not indexed
-    _by_payload: dict[Any, set[Event]] = field(default_factory=dict)
+    __slots__ = ("_heap", "_seq", "_size")
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Event]] = []
+        #: seq of the next push (the deterministic tie-breaker)
+        self._seq = 0
+        #: events queued and not cancelled
+        self._size = 0
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event and return it (its ``seq`` allows cancellation)."""
-        event = Event(time=time, seq=next(self._counter), kind=kind, payload=payload)
-        heapq.heappush(
-            self._heap, (event.time, _PRIORITY[kind], event.seq, event)
-        )
-        self._live.add(event.seq)
-        try:
-            self._by_payload.setdefault(payload, set()).add(event)
-        except TypeError:
-            pass  # unhashable payload: not payload-cancellable
+        """Schedule an event and return it (the handle for :meth:`cancel`)."""
+        if not time >= 0.0:  # also rejects NaN, which would corrupt the heap
+            raise ValueError(
+                f"event time must be a number >= 0, got {time!r} "
+                f"for {kind.name} event with payload {payload!r}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, kind, payload)
+        heappush(self._heap, (time, kind.priority, seq, event))
+        self._size += 1
         return event
 
-    def _unindex(self, event: Event) -> None:
-        try:
-            bucket = self._by_payload.get(event.payload)
-        except TypeError:
-            return
-        if bucket is not None:
-            bucket.discard(event)
-            if not bucket:
-                del self._by_payload[event.payload]
-
     def cancel(self, event: Event) -> None:
-        """Mark ``event`` so it is skipped when popped (lazy deletion).
+        """Mark ``event`` so it is skipped when it reaches the top.
 
-        Cancelling an event that was already popped (or already
-        cancelled) is a no-op: only seqs still live in the heap enter the
-        cancelled set, so the size bookkeeping cannot drift.
+        Only a queued event is affected: cancelling one that was already
+        popped or cancelled is a no-op.
         """
-        if event.seq in self._live:
-            self._live.discard(event.seq)
-            self._cancelled.add(event.seq)
-            self._unindex(event)
+        if event.state is _QUEUED:
+            event.state = _CANCELLED
+            self._size -= 1
 
     def cancel_for_payload(
         self, payload: Any, kind: EventKind | None = None
     ) -> int:
-        """Cancel every live event whose payload equals ``payload``.
+        """Cancel every queued event whose payload equals ``payload``.
 
         Returns the number of events cancelled. When ``kind`` is given,
-        only events of that kind are cancelled. This is how a revoked
-        instance retracts its queued completions/terminations without
-        scanning the whole heap.
+        only events of that kind are cancelled. A scan of the heap: the
+        engine keeps its own handles to the events it may retract and
+        cancels those directly.
         """
-        bucket = self._by_payload.get(payload)
-        if not bucket:
-            return 0
         victims = [
             event
-            for event in bucket
-            if kind is None or event.kind is kind
+            for _, _, _, event in self._heap
+            if event.state is _QUEUED
+            and (kind is None or event.kind is kind)
+            and event.payload == payload
         ]
         for event in victims:
-            self.cancel(event)
+            event.state = _CANCELLED
+        self._size -= len(victims)
         return len(victims)
 
     def pop(self) -> Event:
         """Remove and return the earliest pending event."""
-        while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            if event.seq in self._cancelled:
-                self._cancelled.discard(event.seq)
-                continue
-            self._live.discard(event.seq)
-            self._unindex(event)
-            return event
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
+            if event.state is _QUEUED:
+                event.state = _POPPED
+                self._size -= 1
+                return event
         raise IndexError("pop from empty EventQueue")
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event, or None when empty."""
-        while self._heap:
-            time, _, seq, _ = self._heap[0]
-            if seq in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard(seq)
-                continue
-            return time
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3].state is _QUEUED:
+                return entry[0]
+            heappop(heap)
         return None
 
     def __len__(self) -> int:
-        return len(self._live)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._live)
+        return self._size > 0

@@ -9,7 +9,9 @@ One core, :class:`EngineCore`, owns the event loop, the instance and
 task lifecycles, cloud-fault injection and decision application. It
 drives any number of :class:`WorkflowRun` objects — one workflow's
 framework master, monitor and task queue each — through a single
-ownership map from pool-side task ids to ``(run, local id)``. Two thin
+ownership map from pool-side task ids to ``(run, local id)``. Each
+dispatched attempt gets one :class:`AttemptHandle`, the payload of its
+task events, so the per-task handlers never go back to that map. Two thin
 engines sit on it: :class:`Simulation` drives one run under an
 :class:`~repro.engine.control.Autoscaler` with unscoped ids, and
 :class:`~repro.fleet.engine.FleetSimulation` drives a workload of them
@@ -58,6 +60,13 @@ from repro.util.rng import RngStream
 from repro.util.validation import check_positive
 
 __all__ = ["EngineCore", "RunResult", "Simulation", "WorkflowRun"]
+
+# Reading a member off an Enum class costs about 0.1 us in CPython 3.11;
+# the per-task path uses these module-level names instead.
+_STAGE_IN_DONE = EventKind.STAGE_IN_DONE
+_EXEC_DONE = EventKind.EXEC_DONE
+_STAGE_OUT_DONE = EventKind.STAGE_OUT_DONE
+_TASK_FAILED = EventKind.TASK_FAILED
 
 
 def _make_validator(validate: object):
@@ -124,6 +133,41 @@ class WorkflowRun:
     def scoped(self, local_task_id: str) -> str:
         """Pool-/event-queue-side id for one of this run's tasks."""
         return local_task_id
+
+
+class AttemptHandle:
+    """One in-flight task attempt, from dispatch until it completes or dies.
+
+    The payload of the attempt's STAGE_IN_DONE, EXEC_DONE,
+    STAGE_OUT_DONE and TASK_FAILED events: a handler reads the run, the
+    ids, the instance and the task off it instead of looking them up.
+    ``event`` is the attempt's one queued event; the engine sets it to
+    ``None`` when the attempt ends, which breaks the handle/event
+    reference cycle so a finished attempt is freed at once.
+    """
+
+    __slots__ = ("run", "local", "scoped", "instance", "task", "assigned_at", "event")
+
+    def __init__(
+        self,
+        run: WorkflowRun,
+        local: str,
+        scoped: str,
+        instance: Instance,
+        task,
+        assigned_at: float,
+    ) -> None:
+        self.run = run
+        self.local = local
+        self.scoped = scoped
+        self.instance = instance
+        self.task = task
+        #: slot assignment time (busy-share attribution)
+        self.assigned_at = assigned_at
+        self.event: Event | None = None
+
+    def __repr__(self) -> str:
+        return f"AttemptHandle({self.scoped!r} on {self.instance.instance_id})"
 
 
 @dataclass
@@ -275,10 +319,12 @@ class EngineCore:
         self._started = False
         self._now = 0.0
         self._events_processed = 0
-        self._draining: set[str] = set()
-        self._pending_task_event: dict[str, Event] = {}
-        #: pool-side task id -> slot assignment time (busy-share attribution)
-        self._assign_at: dict[str, float] = {}
+        #: draining instance id -> its queued INSTANCE_TERMINATE event
+        self._draining: dict[str, Event] = {}
+        #: instance id -> its queued INSTANCE_REVOKED event (chaos only)
+        self._revocations: dict[str, Event] = {}
+        #: pool-side task id -> the attempt occupying a slot for it
+        self._inflight: dict[str, AttemptHandle] = {}
         #: (instance_id, run index) -> busy slot-seconds accrued
         self._run_busy: dict[tuple[str, int], float] = {}
         self._timeline: list[tuple[float, int]] = []
@@ -362,19 +408,23 @@ class EngineCore:
             if validator is not None:
                 validator.begin_run(self)
         completed = True
+        pop = self.events.pop
+        handle = self._handle
+        max_time = self.max_time
         while self._unfinished:
-            if not self.events:
+            try:
+                event = pop()
+            except IndexError:
                 raise RuntimeError(
                     "event queue drained before the run completed "
                     f"(at t={self._now}); the pool can no longer make progress"
-                )
-            event = self.events.pop()
-            if event.time > self.max_time:
+                ) from None
+            if event.time > max_time:
                 completed = False
                 break
             self._now = event.time
             self._events_processed += 1
-            self._handle(event)
+            handle(event)
             if validator is not None:
                 validator.after_event(self, event)
             if (
@@ -452,11 +502,13 @@ class EngineCore:
             if instance.state is InstanceState.RUNNING:
                 for scoped in sorted(instance.occupants):
                     # Only possible on an incomplete (timed-out) run.
-                    run, local = self._owner[scoped]
+                    handle = self._inflight.pop(scoped)
+                    handle.event = None
+                    run, local = handle.run, handle.local
                     run.monitor.record_kill(local, makespan)
                     if self._trace:
                         self._emit_attempt(run, local, scoped, "killed", makespan)
-                    self._release(instance, run, scoped, makespan)
+                    self._release(handle, makespan)
                 end = max(makespan, instance.started_at or 0.0)
                 instance.mark_terminated(end)
                 if self._trace:
@@ -511,17 +563,17 @@ class EngineCore:
     def _handle(self, event: Event) -> None:
         # the three per-task events come first: they are most of the load
         kind = event.kind
-        if kind is EventKind.STAGE_IN_DONE:
+        if kind is _STAGE_IN_DONE:
             self._on_stage_in_done(event.payload)
-        elif kind is EventKind.EXEC_DONE:
+        elif kind is _EXEC_DONE:
             self._on_exec_done(event.payload)
-        elif kind is EventKind.STAGE_OUT_DONE:
+        elif kind is _STAGE_OUT_DONE:
             self._on_stage_out_done(event.payload)
         elif kind is EventKind.INSTANCE_READY:
             self._on_instance_ready(event.payload)
         elif kind is EventKind.INSTANCE_TERMINATE:
             self._on_instance_terminate(event.payload)
-        elif kind is EventKind.TASK_FAILED:
+        elif kind is _TASK_FAILED:
             self._on_task_failed(event.payload)
         elif kind is EventKind.CONTROLLER_TICK:
             self._on_controller_tick()
@@ -554,27 +606,26 @@ class EngineCore:
         self._record_pool_change(self._now)
         self._dispatch()
 
-    def _release(
-        self, instance: Instance, run: WorkflowRun, scoped: str, now: float
-    ) -> None:
-        """Free ``scoped``'s slot, crediting its busy time to ``run``."""
-        assigned = self._assign_at.pop(scoped, None)
-        if assigned is not None:
-            key = (instance.instance_id, run.index)
-            self._run_busy[key] = self._run_busy.get(key, 0.0) + (now - assigned)
+    def _release(self, handle: AttemptHandle, now: float) -> None:
+        """Free ``handle``'s slot, crediting its busy time to its run."""
+        run = handle.run
+        instance = handle.instance
+        key = (instance.instance_id, run.index)
+        self._run_busy[key] = self._run_busy.get(key, 0.0) + (
+            now - handle.assigned_at
+        )
         # release (not bulk-clear) so the pool's placement and free-slot
         # indexes stay consistent
-        instance.release(scoped, now)
+        instance.release(handle.scoped, now)
         run.occupied_slots -= 1
 
-    def _kill_occupant(
-        self, instance: Instance, scoped: str, *, failed: bool = False
-    ) -> None:
-        """Kill one occupant, requeue it with its run, free the slot."""
-        run, local = self._owner[scoped]
-        pending = self._pending_task_event.pop(scoped, None)
-        if pending is not None:
-            self.events.cancel(pending)
+    def _kill_occupant(self, handle: AttemptHandle, *, failed: bool = False) -> None:
+        """Kill one attempt, requeue its task with its run, free the slot."""
+        run, local, scoped = handle.run, handle.local, handle.scoped
+        del self._inflight[scoped]
+        # a no-op when the event is the one firing now (TASK_FAILED)
+        self.events.cancel(handle.event)
+        handle.event = None
         run.monitor.record_kill(local, self._now, failed=failed)
         if self._trace:
             self._emit_attempt(
@@ -584,21 +635,20 @@ class EngineCore:
             run.ready_at[local] = self._now
         run.master.mark_killed(local)
         run.scheduler.push(local, run.workflow.stage_of[local], requeue=True)
-        self._release(instance, run, scoped, self._now)
+        self._release(handle, self._now)
 
     def _on_instance_terminate(self, instance_id: str) -> None:
         instance = self.pool.get(instance_id)
         for scoped in sorted(instance.occupants):
-            self._kill_occupant(instance, scoped)
+            self._kill_occupant(self._inflight[scoped])
         instance.mark_terminated(self._now)
-        if self._chaos_injector is not None:
-            # a planned release retracts any not-yet-fired revocation
-            self.events.cancel_for_payload(
-                instance_id, kind=EventKind.INSTANCE_REVOKED
-            )
+        # a planned release retracts any not-yet-fired revocation
+        revocation = self._revocations.pop(instance_id, None)
+        if revocation is not None:
+            self.events.cancel(revocation)
         if self._trace:
             self._emit_instance_end(instance, self._now, "terminated")
-        self._draining.discard(instance_id)
+        del self._draining[instance_id]
         self._record_pool_change(self._now)
         self._dispatch()
 
@@ -631,7 +681,7 @@ class EngineCore:
         if delay is not None:
             # The provider will preempt this instance unless the run (or
             # a planned release) gets there first.
-            self.events.push(
+            self._revocations[iid] = self.events.push(
                 self._now + delay, EventKind.INSTANCE_REVOKED, iid
             )
 
@@ -644,23 +694,22 @@ class EngineCore:
         ``revoked``, and billing stops at the revocation boundary
         (``mark_terminated(now)`` caps the billable uptime).
         """
+        self._revocations.pop(instance_id, None)
         instance = self.pool.get(instance_id)
         if instance.state is not InstanceState.RUNNING:
             return  # defensive: planned releases cancel revocation events
         killed = 0
         lost_occupancy = 0.0
         for scoped in sorted(instance.occupants):
-            run, local = self._owner[scoped]
-            lost_occupancy += run.monitor.current_attempt(
-                local
+            handle = self._inflight[scoped]
+            lost_occupancy += handle.run.monitor.current_attempt(
+                handle.local
             ).occupancy_elapsed(self._now)
-            self._kill_occupant(instance, scoped)
+            self._kill_occupant(handle)
             killed += 1
-        if instance_id in self._draining:
-            self.events.cancel_for_payload(
-                instance_id, kind=EventKind.INSTANCE_TERMINATE
-            )
-            self._draining.discard(instance_id)
+        release = self._draining.pop(instance_id, None)
+        if release is not None:
+            self.events.cancel(release)
         instance.revoked = True
         instance.mark_terminated(self._now)
         self._count_fault("revocations")
@@ -758,13 +807,12 @@ class EngineCore:
     # ------------------------------------------------------------------
     # task lifecycle
     # ------------------------------------------------------------------
-    def _on_stage_in_done(self, scoped: str) -> None:
-        run, local = self._owner[scoped]
+    def _on_stage_in_done(self, handle: AttemptHandle) -> None:
+        run, local = handle.run, handle.local
         run.master.mark_executing(local)
         run.monitor.record_exec_start(local, self._now)
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"executing task {scoped} has no instance"
-        task = run.workflow.task(local)
+        instance = handle.instance
+        task = handle.task
         attempt = run.master.attempts(local)
         duration = self.runtime_model.execution_time(
             task, instance, attempt, run.rng_runtime
@@ -778,31 +826,30 @@ class EngineCore:
             task, instance, attempt, duration, run.rng_faults
         )
         if failure is not None and failure < duration:
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + failure, EventKind.TASK_FAILED, scoped
+            handle.event = self.events.push(
+                self._now + failure, _TASK_FAILED, handle
             )
         else:
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + duration, EventKind.EXEC_DONE, scoped
+            handle.event = self.events.push(
+                self._now + duration, _EXEC_DONE, handle
             )
 
-    def _on_exec_done(self, scoped: str) -> None:
-        run, local = self._owner[scoped]
+    def _on_exec_done(self, handle: AttemptHandle) -> None:
+        run, local = handle.run, handle.local
         run.master.mark_staging_out(local)
         run.monitor.record_exec_end(local, self._now)
-        duration = self.transfer_model.stage_out_time(
-            run.workflow.task(local), run.rng_transfer
-        )
-        self._pending_task_event[scoped] = self.events.push(
-            self._now + duration, EventKind.STAGE_OUT_DONE, scoped
+        duration = self.transfer_model.stage_out_time(handle.task, run.rng_transfer)
+        handle.event = self.events.push(
+            self._now + duration, _STAGE_OUT_DONE, handle
         )
 
-    def _on_stage_out_done(self, scoped: str) -> None:
-        run, local = self._owner[scoped]
-        self._pending_task_event.pop(scoped, None)
+    def _on_stage_out_done(self, handle: AttemptHandle) -> None:
+        run, local = handle.run, handle.local
+        del self._inflight[handle.scoped]
+        handle.event = None
         run.monitor.record_complete(local, self._now)
         if self._trace:
-            self._emit_attempt(run, local, scoped, "completed", self._now)
+            self._emit_attempt(run, local, handle.scoped, "completed", self._now)
         if self._metrics_on:
             attempt = run.monitor.current_attempt(local)
             self.metrics.counter("task.completed").inc()
@@ -810,9 +857,7 @@ class EngineCore:
                 self.metrics.histogram("task.runtime_seconds").observe(
                     attempt.execution_time
                 )
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"completing task {scoped} has no instance"
-        self._release(instance, run, scoped, self._now)
+        self._release(handle, self._now)
         self._last_completion = self._now
         for child in run.master.mark_completed(local):
             if self._track_ready:
@@ -822,11 +867,9 @@ class EngineCore:
             self._run_finished(run)
         self._dispatch()
 
-    def _on_task_failed(self, scoped: str) -> None:
+    def _on_task_failed(self, handle: AttemptHandle) -> None:
         """An attempt died mid-execution: the framework resubmits it."""
-        instance = self.pool.instance_of_task(scoped)
-        assert instance is not None, f"failed task {scoped} has no instance"
-        self._kill_occupant(instance, scoped, failed=True)
+        self._kill_occupant(handle, failed=True)
         self._dispatch()
 
     # ------------------------------------------------------------------
@@ -899,8 +942,9 @@ class EngineCore:
             if remaining <= self.site.min_instances:
                 break
             at = max(order.at, self._now)
-            self._draining.add(order.instance_id)
-            self.events.push(at, EventKind.INSTANCE_TERMINATE, order.instance_id)
+            self._draining[order.instance_id] = self.events.push(
+                at, EventKind.INSTANCE_TERMINATE, order.instance_id
+            )
             remaining -= 1
             applied += 1
         return applied
@@ -966,8 +1010,13 @@ class EngineCore:
         The pool serves it from its free-slot index rather than a scan
         over every instance ever launched.
         """
+        now = self._now
+        pool = self.pool
+        draining = self._draining
+        inflight = self._inflight
+        push = self.events.push
         while self._has_work():
-            instance = self.pool.best_dispatchable(self._draining)
+            instance = pool.best_dispatchable(draining)
             if instance is None:
                 return
             run = self._next_run()
@@ -977,26 +1026,25 @@ class EngineCore:
             assert local is not None
             scoped = run.scoped(local)
             task = run.workflow.task(local)
-            instance.assign(scoped, self._now)
+            instance.assign(scoped, now)
             run.occupied_slots += 1
-            self._assign_at[scoped] = self._now
+            handle = AttemptHandle(run, local, scoped, instance, task, now)
+            inflight[scoped] = handle
             run.master.mark_dispatched(local)
             ready = run.ready_at.pop(local, None)
             if ready is not None:
-                run.queue_waits.append(self._now - ready)
+                run.queue_waits.append(now - ready)
             run.monitor.record_dispatch(
                 local,
                 run.workflow.stage_of[local],
                 instance.instance_id,
-                self._now,
+                now,
                 task.input_size,
                 task.output_size,
                 ready_time=ready,
             )
             duration = self._stage_in_duration(run, task, instance)
-            self._pending_task_event[scoped] = self.events.push(
-                self._now + duration, EventKind.STAGE_IN_DONE, scoped
-            )
+            handle.event = push(now + duration, _STAGE_IN_DONE, handle)
 
     def _stage_in_duration(self, run: WorkflowRun, task, instance: Instance) -> float:
         """Sample the stage-in time, with placement awareness when the

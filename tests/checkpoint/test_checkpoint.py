@@ -116,6 +116,12 @@ class TestCheckpointFile:
         # version 3 a workflow holds its tasks and a shared DagStructure.
         self.assert_rejects_old_version(small_fleet, tmp_path, 2)
 
+    def test_rejects_version_3(self, small_fleet, tmp_path):
+        # Version 3 pickled an indexed event queue whose task events
+        # carried task ids; since version 4 the queue is a plain heap and
+        # task events carry the engine's attempt handles.
+        self.assert_rejects_old_version(small_fleet, tmp_path, 3)
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.ckpt")

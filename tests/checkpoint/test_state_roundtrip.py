@@ -37,7 +37,7 @@ class TestEventQueuePickle:
         q.push(20.0, EventKind.CONTROLLER_TICK)
         q.push(7.0, EventKind.EXEC_DONE, "i-2")
         q.cancel(a)  # lazy-cancelled event stays heap-resident
-        q.cancel_for_payload("i-2")  # exercises the payload index
+        q.cancel_for_payload("i-2")  # cancelled through a heap scan
         return q
 
     def test_pop_order_survives_pickle(self):

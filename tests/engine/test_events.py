@@ -37,6 +37,17 @@ class TestOrdering:
         with pytest.raises(ValueError):
             q.push(-1.0, EventKind.EXEC_DONE, "x")
 
+    def test_nan_time_rejected(self):
+        # a NaN compares false both ways, so it would break heap order
+        # without any error; the message names the event it came from
+        q = EventQueue()
+        q.push(2.0, EventKind.EXEC_DONE, "later")
+        with pytest.raises(ValueError, match=r"EXEC_DONE.*'t-7'"):
+            q.push(float("nan"), EventKind.EXEC_DONE, "t-7")
+        assert len(q) == 1
+        q.push(1.0, EventKind.EXEC_DONE, "sooner")
+        assert [q.pop().payload, q.pop().payload] == ["sooner", "later"]
+
 
 class TestCancellation:
     def test_cancelled_event_skipped(self):
@@ -122,7 +133,7 @@ class TestCancellationBookkeeping:
 
 
 class TestCancelForPayload:
-    """The payload index behind O(per-instance) chaos cancellation."""
+    """Cancelling by payload: a scan of the queued events."""
 
     def test_cancels_every_event_with_payload(self):
         q = EventQueue()
@@ -164,7 +175,6 @@ class TestCancelForPayload:
         assert len(q) == 0
 
     def test_unhashable_payload_still_queues(self):
-        # list payloads can't be indexed, but push/pop must still work
         q = EventQueue()
         q.push(1.0, EventKind.EXEC_DONE, ["not", "hashable"])
         assert q.pop().payload == ["not", "hashable"]
@@ -176,3 +186,14 @@ class TestCancelForPayload:
         q.push(2.0, EventKind.EXEC_DONE, "i-0")
         assert q.cancel_for_payload("i-0") == 1
         assert len(q) == 0
+
+    def test_unhashable_payload_is_cancellable(self):
+        # push accepts any payload, so cancelling by one must work too
+        q = EventQueue()
+        q.push(1.0, EventKind.EXEC_DONE, ["x"])
+        q.push(2.0, EventKind.STAGE_OUT_DONE, ["x"])
+        survivor = q.push(3.0, EventKind.EXEC_DONE, ["y"])
+        assert q.cancel_for_payload(["x"]) == 2
+        assert q.cancel_for_payload(["x"], kind=EventKind.EXEC_DONE) == 0
+        assert len(q) == 1
+        assert q.pop() is survivor
