@@ -87,7 +87,8 @@ class TestGoldenEquivalence:
 
 
 class TestBytePins:
-    """Fleet summary JSON, JSONL trace and workflow JSON bytes, pinned by SHA-256."""
+    """Fleet summary JSON, JSONL trace, workflow JSON and oracle-run bytes,
+    pinned by SHA-256."""
 
     def test_pins_hold(self):
         generator = load_generator()
@@ -96,6 +97,6 @@ class TestBytePins:
             k: v for k, v in golden.items() if k.startswith(generator.PIN_PREFIXES)
         }
         # 8 fleet summaries + 3 single-run traces + 2 fleet traces
-        # + 8 Table I specs x 2 seeds
-        assert len(pinned) == 29
+        # + 8 Table I specs x 2 seeds + 7 oracle runs x (result, trace)
+        assert len(pinned) == 43
         assert generator.pins() == pinned

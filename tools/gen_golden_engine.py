@@ -18,11 +18,13 @@ bytes: ``fleet/<name>`` keys hold the :meth:`~repro.fleet.result.
 FleetResult.to_summary_json` of a fleet run (every allocation policy and
 fleet autoscaler, a chaos run, an admission-capped run) and
 ``trace/<name>`` keys hold the JSONL trace of a traced single or fleet
-run (plain, chaos, validated), and ``workflow/<spec>/s<seed>`` keys hold
+run (plain, chaos, validated), ``workflow/<spec>/s<seed>`` keys hold
 the :func:`~repro.dag.serialize.workflow_to_json` document of every
 Table I spec realized at seeds 0 and 1 (each taken from a repeat
 realization of its spec, so a spec's second ``generate`` is what is
-pinned).
+pinned), and ``oracle/<name>`` keys hold the fingerprint (plus event
+count) of a clairvoyant-oracle run, with ``oracle/<name>/trace`` holding
+that run's JSONL trace.
 
 ``--check`` re-runs every scenario and exits nonzero on any fingerprint
 drift (the CI gate over the full matrix; the unit suite samples a fast
@@ -48,6 +50,7 @@ import tempfile
 from pathlib import Path
 
 from repro.autoscalers import (
+    OracleAutoscaler,
     PureReactiveAutoscaler,
     ReactiveConservingAutoscaler,
     WireAutoscaler,
@@ -172,8 +175,11 @@ def fingerprint(result) -> dict:
 #: chaos spec of the pinned chaos runs (single and fleet)
 PIN_CHAOS = "revocations=6,stragglers=0.3,pfail=0.3,blackouts=0.2"
 
+#: chaos spec of the pinned chaos oracle run
+ORACLE_CHAOS = "revocations=2,pfail=0.3,stragglers=0.2,blackouts=0.1"
+
 #: key prefixes of the byte pins (every other key is a run fingerprint)
-PIN_PREFIXES = ("fleet/", "trace/", "workflow/")
+PIN_PREFIXES = ("fleet/", "trace/", "workflow/", "oracle/")
 
 
 def _fleet(
@@ -301,6 +307,41 @@ def trace_scenarios():
     ]
 
 
+def oracle_scenarios():
+    """Pinned clairvoyant-oracle runs: name -> factory(tracer, chaos, validate).
+
+    The oracle builds its run state by its own scan, apart from WIRE's
+    incremental build, so its runs are pinned separately. The chaos run
+    keeps its own enabled spec.
+    """
+    specs = table1_specs()
+    site = exogeni_site()
+    cases = [
+        (f"oracle/{wf_name}/u{u:.0f}/s0", wf_name, u, None)
+        for wf_name in ("genome-S", "tpch6-S", "pagerank-S")
+        for u in (60.0, 900.0)
+    ]
+    cases.append(
+        ("oracle/genome-S/u60/s0/chaos", "genome-S", 60.0, parse_chaos_spec(ORACLE_CHAOS))
+    )
+    for name, wf_name, u, own_chaos in cases:
+
+        def make(tracer=None, chaos=None, validate=None, wf_name=wf_name, u=u,
+                 own_chaos=own_chaos):
+            return Simulation(
+                specs[wf_name].generate(0),
+                site,
+                OracleAutoscaler(),
+                u,
+                transfer_model=default_transfer_model(),
+                tracer=tracer,
+                chaos=own_chaos if own_chaos is not None else chaos,
+                validate=validate,
+            )
+
+        yield name, make
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -336,6 +377,26 @@ def pins(tracer_factory=None, chaos=None, validate_factory=None) -> dict:
             finally:
                 sink.close()
             out[name] = {"sha256": _sha256(path.read_bytes())}
+        for name, make in oracle_scenarios():
+            sim = make(
+                tracer_factory() if tracer_factory is not None else None,
+                chaos,
+                validate_factory() if validate_factory is not None else None,
+            )
+            result = sim.run()
+            sim.tracer.close()
+            text = json.dumps(
+                dict(fingerprint(result), events=result.events_processed),
+                sort_keys=True,
+            )
+            out[name] = {"sha256": _sha256(text.encode("utf-8"))}
+            path = Path(tmp) / "trace.jsonl"
+            sink = JsonlSink(path)
+            try:
+                make(Tracer(sink)).run()
+            finally:
+                sink.close()
+            out[f"{name}/trace"] = {"sha256": _sha256(path.read_bytes())}
     return out
 
 
