@@ -69,8 +69,9 @@ CHECKPOINT_MAGIC = b"WIRECKPT"
 #: (2: both engines share one core and its run objects; 3: a workflow
 #: pickles its tasks plus a DagStructure shared with its spec's other
 #: realizations; 4: a heap-only event queue, and task events carry an
-#: attempt handle instead of a task id)
-CHECKPOINT_VERSION = 4
+#: attempt handle instead of a task id; 5: the predictor drops its
+#: fallback flags and the lookahead simulator keeps no topology state)
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

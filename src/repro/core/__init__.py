@@ -18,7 +18,7 @@ from repro.core.lookahead import (
 )
 from repro.core.mape import MapeController, TickDiagnostics
 from repro.core.ogd import OnlineGradientDescentModel
-from repro.core.predictor import TaskPredictor, group_by_input_size
+from repro.core.predictor import TaskPredictor
 from repro.core.runstate import PredictionPolicy, RunState, TaskEstimate
 from repro.core.steering import SteerableInstance, SteeringPolicy, resize_pool
 
@@ -37,6 +37,5 @@ __all__ = [
     "UpcomingTask",
     "VirtualInstance",
     "WireConfig",
-    "group_by_input_size",
     "resize_pool",
 ]

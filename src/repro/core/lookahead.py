@@ -12,20 +12,18 @@ tasks, completions fire children. Any drift between this projection and
 the framework master's true schedule is tolerated by design — the paper's
 §III-D argues (and §IV-E confirms) the effect is minor.
 
-Incremental projection state
-----------------------------
-The seed implementation re-derived the DAG completion topology (which
-tasks are done, how many unfinished parents each survivor has) from the
-full run state every tick — O(tasks + edges) per projection. The
-simulator now keeps that topology persistently and patches it with the
-completion deltas the predictor records on the
-:class:`~repro.core.runstate.RunState` (``newly_completed`` /
-``completed_count``); virtual-task records are materialized lazily, only
-for tasks the projection actually touches. Whenever the delta view cannot
-be proven consistent (hand-built run states, a skipped tick, a replayed
-snapshot) the simulator falls back to an exact full rebuild — incremental
-≡ from-scratch is a hard invariant, enforced by ``self_check`` mode and
-the property suite in tests/core/test_controller_equivalence.py.
+Adopted projection topology
+---------------------------
+The projection needs the DAG completion topology: how many unfinished
+parents each incomplete task has, how many tasks are done and which hold
+slots. The run state carries all three (``unfinished_parents``,
+``completed_count``, ``in_flight``), maintained incrementally by the
+predictor, and the simulator adopts them as they are — it derives
+nothing from the estimates. A run state without them, or whose
+unfinished-parent map no longer matches its completed count (a stale
+snapshot replayed after the predictor moved on), raises ``ValueError``
+naming the field. Virtual-task records are materialized lazily, only for
+tasks the projection actually touches.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.runstate import RunState, TaskEstimate
+from repro.core.runstate import RunState
 from repro.dag.workflow import Workflow
-from repro.engine.master import TaskExecState
 
 __all__ = ["LookaheadSimulator", "UpcomingLoad", "UpcomingTask", "VirtualInstance"]
 
@@ -104,164 +101,40 @@ class UpcomingLoad:
 
 
 class LookaheadSimulator:
-    """Projects one control interval ahead from a run-state snapshot.
+    """Projects one control interval ahead from a run-state snapshot."""
 
-    ``self_check`` re-derives the persistent completion topology from
-    scratch on every projection and asserts it matches the incrementally
-    patched one (the equivalence invariant); use it in tests and debug
-    runs, not in the hot path.
-    """
-
-    def __init__(self, workflow: Workflow, *, self_check: bool = False) -> None:
+    def __init__(self, workflow: Workflow) -> None:
         self.workflow = workflow
-        self.self_check = self_check
-        #: incomplete task id -> number of incomplete parents (the
-        #: persistent projection topology; None until first seeded)
-        self._unfinished: dict[str, int] | None = None
-        #: False while ``_unfinished`` aliases a predictor-owned map (an
-        #: adopted ``RunState.unfinished_parents``): the delta-patching
-        #: path must not mutate a dict it does not own
-        self._owns_unfinished = False
-        self._n_completed = 0
-        #: diagnostics: how often the exact fallback ran vs the delta path
-        self.full_rebuilds = 0
-        self.incremental_syncs = 0
 
-    def _sorted_children(self, task_id: str) -> tuple[str, ...]:
-        return self.workflow.sorted_children[task_id]
+    def _topology(
+        self, run_state: RunState
+    ) -> tuple[dict[str, int], int, tuple[str, ...]]:
+        """The run state's ``(unfinished_parents, completed_count, in_flight)``.
 
-    # ------------------------------------------------------------------
-    # persistent completion topology
-    # ------------------------------------------------------------------
-    def _rebuild(self, estimates: dict[str, TaskEstimate]) -> None:
-        """Exact from-scratch derivation (fallback and reference)."""
-        self._unfinished, self._n_completed = self._derive(estimates)
-        self._owns_unfinished = True
-        self.full_rebuilds += 1
-
-    def _derive(
-        self, estimates: dict[str, TaskEstimate]
-    ) -> tuple[dict[str, int], int]:
-        phases_map = getattr(estimates, "phases_map", None)
-        if phases_map is not None:
-            return self._derive_bulk(phases_map)
-        completed: set[str] = set()
-        unfinished: dict[str, int] = {}
-        parents_of = self.workflow.parents
-        # lazy run-state mappings expose phase lookups that skip estimate
-        # materialization; plain dicts fall back to the object field
-        phase_of = getattr(estimates, "phase_of", None)
-        if phase_of is None:
-            phase_of = lambda tid: estimates[tid].phase  # noqa: E731
-        for task_id in self.workflow.topological_order():
-            if phase_of(task_id) is TaskExecState.COMPLETED:
-                completed.add(task_id)
-                continue
-            # Topological order guarantees every completed parent is
-            # already in `completed` when its child is visited.
-            unfinished[task_id] = sum(
-                1 for p in parents_of(task_id) if p not in completed
-            )
-        return unfinished, len(completed)
-
-    def _derive_bulk(
-        self, phases_map: "dict[str, TaskExecState]"
-    ) -> tuple[dict[str, int], int]:
-        """:meth:`_derive` from a full phase snapshot, without per-id calls.
-
-        An incomplete task's unfinished-parent count equals its total
-        parent count minus its completed parents, so seeding from the
-        cached totals and walking only the completed tasks' child edges
-        yields the identical dict (order-insensitive arithmetic; dict
-        equality ignores insertion order).
+        The unfinished-parent map is the predictor's live dict. Entries
+        are only ever removed (on completion) and counts only decrement
+        alongside a removal, so a map whose length reconciles with the
+        snapshot's completed count is the snapshot's map. The
+        projection's in-place decrements are rolled back through its undo
+        log, leaving the shared dict exactly as the predictor left it.
         """
-        base = self.workflow.parent_counts
-        completed_state = TaskExecState.COMPLETED
-        completed: list[str] = []
-        completed_append = completed.append
-        unfinished: dict[str, int] = {}
-        for task_id, phase in phases_map.items():
-            if phase is completed_state:
-                completed_append(task_id)
-            else:
-                unfinished[task_id] = base[task_id]
-        children_map = self.workflow.children_tuples
-        for task_id in completed:
-            for child in children_map[task_id]:
-                count = unfinished.get(child)
-                if count is not None:
-                    unfinished[child] = count - 1
-        return unfinished, len(completed)
-
-    def _sync(self, run_state: RunState) -> None:
-        """Bring the persistent topology up to ``run_state``.
-
-        Applies the predictor's completion delta when one is available
-        and provably consistent (the completed-count must reconcile);
-        otherwise rebuilds from the estimates — exactly.
-        """
-        adopted = run_state.unfinished_parents
-        if (
-            adopted is not None
-            and run_state.completed_count is not None
-            and len(self.workflow) - len(adopted) == run_state.completed_count
+        unfinished = run_state.unfinished_parents
+        completed = run_state.completed_count
+        in_flight = run_state.in_flight
+        for name, value in (
+            ("unfinished_parents", unfinished),
+            ("completed_count", completed),
+            ("in_flight", in_flight),
         ):
-            # The predictor maintains the identical incomplete-task ->
-            # unfinished-parent-count map; adopt its live dict instead of
-            # re-deriving or delta-patching a private copy. The length
-            # reconciliation proves the map still matches this run state:
-            # entries are only ever removed (on completion) and counts only
-            # decrement alongside a removal, so an unchanged length means
-            # an unchanged map. The projection's in-place decrements are
-            # rolled back through its undo log, leaving the shared dict
-            # exactly as the predictor left it.
-            self._unfinished = adopted
-            self._owns_unfinished = False
-            self._n_completed = run_state.completed_count
-            self.incremental_syncs += 1
-            if self.self_check:
-                expect_unfinished, expect_n = self._derive(run_state.estimates)
-                assert self._unfinished == expect_unfinished, (
-                    "adopted projection topology diverged from scratch"
-                )
-                assert self._n_completed == expect_n
-            return
-        newly = run_state.newly_completed
-        unfinished = self._unfinished
-        if (
-            unfinished is None
-            or not self._owns_unfinished
-            or newly is None
-            or run_state.completed_count is None
-        ):
-            self._rebuild(run_state.estimates)
-        else:
-            children_map = self.workflow.children_tuples
-            n = self._n_completed
-            ok = True
-            for task_id in newly:
-                if unfinished.pop(task_id, None) is None:
-                    # a completion we never tracked (replayed or duplicate
-                    # delta) — the incremental view is unprovable
-                    ok = False
-                    break
-                n += 1
-                for child in children_map[task_id]:
-                    count = unfinished.get(child)
-                    if count is not None:
-                        unfinished[child] = count - 1
-            if ok:
-                self._n_completed = n
-            if not ok or self._n_completed != run_state.completed_count:
-                self._rebuild(run_state.estimates)
-            else:
-                self.incremental_syncs += 1
-        if self.self_check:
-            expect_unfinished, expect_n = self._derive(run_state.estimates)
-            assert self._unfinished == expect_unfinished, (
-                "incremental projection topology diverged from scratch"
+            if value is None:
+                raise ValueError(f"the run state carries no {name}")
+        if len(self.workflow) - len(unfinished) != completed:
+            raise ValueError(
+                f"the run state's unfinished_parents holds {len(unfinished)} "
+                f"incomplete tasks, which does not match its completed_count "
+                f"{completed} of {len(self.workflow)} tasks (a stale snapshot)"
             )
-            assert self._n_completed == expect_n
+        return unfinished, completed, in_flight
 
     # ------------------------------------------------------------------
     def project(
@@ -289,16 +162,13 @@ class LookaheadSimulator:
                 lambda tid: estimates[tid].remaining_occupancy
             )
 
-        self._sync(run_state)
-        assert self._unfinished is not None
+        unfinished, seed_completed, in_flight = self._topology(run_state)
         # The projection loop decrements unfinished-parent counts
-        # destructively. Mutate the persistent topology in place and roll
+        # destructively. Mutate the adopted topology in place and roll
         # the decrements back through an undo log afterwards: the log is
         # O(projected completion edges), far smaller than copying the
         # whole O(incomplete) dict every tick.
-        unfinished = self._unfinished
         undo: list[tuple[str, int]] = []
-        seed_completed = self._n_completed
 
         known_instances = {vi.instance_id: vi for vi in instances}
         counter = itertools.count()
@@ -364,18 +234,6 @@ class LookaheadSimulator:
             else:
                 queue.append(task_id)
 
-        in_flight = run_state.in_flight
-        if in_flight is None:
-            # exact fallback: derive the slot holders by topological scan,
-            # matching the order the incremental field records them in
-            phase_of = getattr(estimates, "phase_of", None)
-            if phase_of is None:
-                phase_of = lambda tid: estimates[tid].phase  # noqa: E731
-            in_flight = tuple(
-                task_id
-                for task_id in self.workflow.topological_order()
-                if task_id in unfinished and phase_of(task_id).occupies_slot
-            )
         for task_id in in_flight:
             estimate = estimates[task_id]
             if estimate.instance_id in known_instances:

@@ -28,11 +28,13 @@ contexts *captured at the tick* (stage view, Policy 4/5 memo, frozen OGD
 coefficients) — a deferred materialization is therefore bit-identical to
 an eager one. Per-stage policy evaluations are memoized keyed on
 ``(completed-version, model generation)`` — see docs/performance.md.
-Every fast path is backed by an exact fallback (a full scan identical to
-the historical implementation) taken whenever the bookkeeping cannot
-prove the delta view consistent; the golden engine matrix and the
-property suites in tests/core/test_controller_equivalence.py enforce the
-equivalence.
+
+This incremental build is the only build. When its bookkeeping disagrees
+with the completion log or the framework master it raises
+``RuntimeError`` naming the task, stage or count; it never recovers by
+rescanning. The historical full-DAG scan lives on in
+tests/core/controller_oracle.py, where a differential test compares it
+with this build at every tick of engine-driven runs.
 """
 
 from __future__ import annotations
@@ -51,32 +53,7 @@ from repro.engine.master import FrameworkMaster, TaskExecState
 from repro.engine.monitor import Monitor, TaskAttempt
 from repro.metrics.stats import MovingMedian, mean, median, median_sorted
 
-__all__ = ["SharedEvalCache", "TaskPredictor", "group_by_input_size"]
-
-
-def group_by_input_size(
-    attempts: Sequence[TaskAttempt], rtol: float
-) -> list[tuple[float, list[float]]]:
-    """Cluster completed attempts by (approximately) equal input size.
-
-    Returns ``(representative_size, execution_times)`` pairs sorted by
-    size. Two sizes are "equivalent" (paper Policy 4's group *L*) when
-    they differ by at most ``rtol`` relative to the larger of the two.
-    """
-    completed = sorted(
-        (a for a in attempts if a.execution_time is not None),
-        key=lambda a: a.input_size,
-    )
-    groups: list[tuple[float, list[float]]] = []
-    for attempt in completed:
-        size = attempt.input_size
-        exec_time = attempt.execution_time
-        assert exec_time is not None
-        if groups and _sizes_equivalent(groups[-1][0], size, rtol):
-            groups[-1][1].append(exec_time)
-        else:
-            groups.append((size, [exec_time]))
-    return groups
+__all__ = ["SharedEvalCache", "TaskPredictor"]
 
 
 def _sizes_equivalent(a: float, b: float, rtol: float) -> bool:
@@ -131,8 +108,8 @@ class SharedEvalCache:
 class _StageAccumulator:
     """Per-stage completed-attempt aggregates, maintained incrementally.
 
-    ``by_size`` mirrors the stable sort ``group_by_input_size`` performs
-    over :meth:`Monitor.completed_in_stage` (which is in stage-dispatch
+    ``by_size`` mirrors a stable sort by input size of
+    :meth:`Monitor.completed_in_stage` (which is in stage-dispatch
     order): entries are kept sorted by ``(input_size, _stage_seq)``, so
     ties on size preserve dispatch order exactly. ``by_seq`` mirrors the
     un-sorted ``completed_in_stage`` list itself (sorted by dispatch
@@ -489,19 +466,6 @@ class _LazyEstimates(MutableMapping):
                 append(self._materialize(task_id).remaining_occupancy)
         return out
 
-    def phase_of(self, task_id: str) -> TaskExecState:
-        """``self[task_id].phase`` without materializing."""
-        return self._phases[task_id]
-
-    @property
-    def phases_map(self) -> dict[str, TaskExecState]:
-        """The frozen per-tick phase snapshot (treat as read-only).
-
-        Bulk consumers (the projection's from-scratch topology rebuild)
-        iterate this directly instead of calling :meth:`phase_of` per id.
-        """
-        return self._phases
-
     # -- mapping protocol -----------------------------------------------
     def __getitem__(self, task_id: str) -> TaskEstimate:
         estimate = self._data.get(task_id)
@@ -602,13 +566,6 @@ class TaskPredictor:
         self._blocked_count: dict[str, int] = {}
         self._nonblocked_sizes: dict[str, dict[float, int]] = {}
         self._stage_incomplete: dict[str, int] = {}
-        self._tracking_ok = False
-        # Subclasses (e.g. the oracle's clairvoyant predictor) may override
-        # estimate_execution; the delta/lazy fast path in build_run_state
-        # is only sound for the base implementation.
-        self._base_eval = (
-            type(self).estimate_execution is TaskPredictor.estimate_execution
-        )
 
     @property
     def shared_cache(self) -> SharedEvalCache:
@@ -643,7 +600,6 @@ class TaskPredictor:
         self._blocked_count = blocked
         self._nonblocked_sizes = nonblocked
         self._stage_incomplete = stage_incomplete
-        self._tracking_ok = True
 
     # ------------------------------------------------------------------
     # Monitor + Analyze: harvest the previous interval
@@ -689,9 +645,8 @@ class TaskPredictor:
         median. Derived caches — completed-aggregate accumulators, the
         Policy 4/5 evaluation memos, run-state cursors — are pure
         functions of (monitor log, model generation) and are rebuilt on
-        first use after :meth:`load_state_dict`, bit-identically (the
-        PR 6 equivalence suites pin the rebuild paths to the
-        incremental ones).
+        first use after :meth:`load_state_dict` by replaying the monitor's
+        completion log from its start.
         """
         return {
             "ogd": {
@@ -732,7 +687,6 @@ class TaskPredictor:
         self._acc_cursor = 0
         self._rs_cursor = 0
         self._rs_monitor = None
-        self._tracking_ok = False
 
     # ------------------------------------------------------------------
     # the five prediction policies (§III-C)
@@ -800,8 +754,8 @@ class TaskPredictor:
 
         Cached on the monitor's per-stage completed-version counter, and
         recomputed from incrementally maintained sorted flat tuples (the
-        log-fed accumulators) rather than re-sorting attempt objects; the
-        full-scan path remains as the exact fallback and reference.
+        log-fed accumulators) rather than re-sorting attempt objects. An
+        accumulator whose count disagrees with the version counter raises.
         """
         version = monitor.completed_version(stage_id)
         cached = self._completed_cache.get(stage_id)
@@ -813,26 +767,23 @@ class TaskPredictor:
             return cached[2], cached[3]
         self._ingest_completions(monitor)
         acc = self._acc.get(stage_id)
-        if acc is not None and acc.count == version:
-            if acc.count:
-                if self.config.use_median:
-                    # value-sorted lists are maintained per completion;
-                    # each median is an index, not an aggregation
-                    median_completed = median_sorted(acc.by_time)
-                    groups = self._cluster_median(acc)
-                else:
-                    median_completed = self._agg([t for _, t in acc.by_seq])
-                    groups = self._cluster_sorted(acc.by_size)
-            else:
-                median_completed = None
-                groups = []
-        else:
-            # the accumulator cannot account for every completion the
-            # version counter reports (e.g. a monitor populated outside
-            # the engine's record path) — take the exact full scan
-            median_completed, groups = self._aggregates_full_scan(
-                stage_id, monitor
+        count = 0 if acc is None else acc.count
+        if count != version:
+            raise RuntimeError(
+                f"stage {stage_id!r}: the completion log holds {count} "
+                f"completions but the monitor's version counter reports {version}"
             )
+        if not count:
+            median_completed = None
+            groups = []
+        elif self.config.use_median:
+            # value-sorted lists are maintained per completion; each
+            # median is an index, not an aggregation
+            median_completed = median_sorted(acc.by_time)
+            groups = self._cluster_median(acc)
+        else:
+            median_completed = self._agg([t for _, t in acc.by_seq])
+            groups = self._cluster_sorted(acc.by_size)
         self._completed_cache[stage_id] = (
             id(monitor), version, median_completed, groups
         )
@@ -843,8 +794,8 @@ class TaskPredictor:
     ) -> list[tuple[float, float]]:
         """Input-size groups with median aggregates, from sorted state.
 
-        Clustering over the *distinct* sizes is identical to
-        :func:`group_by_input_size` over the individual attempts: equal
+        Clustering over the *distinct* sizes is identical to a greedy walk
+        over the individual attempts sorted by size: equal
         sizes are consecutive in the sorted walk and always compare
         equivalent to their own group's representative (the group's first
         — smallest — size), so they can never open a new group. The
@@ -872,8 +823,10 @@ class TaskPredictor:
     ) -> list[tuple[float, float]]:
         """Cluster (size, seq, time) entries already sorted by (size, seq).
 
-        Identical clustering to :func:`group_by_input_size` — same greedy
-        walk over the same sequence — without re-sorting attempt objects.
+        Paper Policy 4's group *L*: a greedy walk in size order opens a
+        new group whenever a size differs from the group's first by more
+        than ``rtol`` relative to the larger — without re-sorting attempt
+        objects.
         """
         rtol = self.config.input_size_rtol
         raw: list[tuple[float, list[float]]] = []
@@ -884,25 +837,6 @@ class TaskPredictor:
                 raw.append((size, [exec_time]))
         agg = self._agg
         return [(size, agg(times)) for size, times in raw]
-
-    def _aggregates_full_scan(
-        self, stage_id: str, monitor: Monitor
-    ) -> tuple[float | None, list[tuple[float, float]]]:
-        """The historical O(n log n) aggregation — exact reference."""
-        completed = monitor.completed_in_stage(stage_id)
-        if not completed:
-            return None, []
-        exec_times = [
-            a.execution_time for a in completed if a.execution_time is not None
-        ]
-        median_completed = self._agg(exec_times)
-        groups = [
-            (size, self._agg(times))
-            for size, times in group_by_input_size(
-                completed, self.config.input_size_rtol
-            )
-        ]
-        return median_completed, groups
 
     def _stage_view(self, stage_id: str, monitor: Monitor, now: float) -> "_StageView":
         """Aggregate one stage's peer-task data once (shared by all its
@@ -1018,8 +952,9 @@ class TaskPredictor:
         log as a delta patching the per-stage class counts, per-stage
         contexts are captured once, in-flight tasks are annotated eagerly
         (the projection needs their instance/sunk state), and everything
-        else materializes on first access. Falls back to the exact full
-        scan whenever the delta view cannot be proven consistent.
+        else materializes on first access. Raises ``RuntimeError`` naming
+        the task, stage or count whenever the delta view disagrees with
+        the master or the monitor.
         """
         t_data = self.transfer_estimate()
         monitor_id = id(monitor)
@@ -1030,16 +965,11 @@ class TaskPredictor:
             self._final_estimates = {}
             self._final_raw = {}
             self._reset_tracking()
-        if not self._base_eval:
-            # overridden estimate_execution (oracle): the inlined policy
-            # selection below would bypass it — take the exact scan
-            return self._build_run_state_full(master, monitor, now, t_data)
 
         new_attempts = monitor.completed_since(self._rs_cursor)
         self._rs_cursor = monitor.completed_log_length()
         final_raw = self._final_raw
         stage_of = self.workflow.stage_of
-        tracking_ok = self._tracking_ok
         unfinished = self._unfinished_parents
         blocked_count = self._blocked_count
         nonblocked_sizes = self._nonblocked_sizes
@@ -1048,23 +978,19 @@ class TaskPredictor:
         children_map = self.workflow.children_tuples
         unfinished_pop = unfinished.pop
         unfinished_get = unfinished.get
-        newly: list[str] = []
-        newly_append = newly.append
         for attempt in new_attempts:
             task_id = attempt.task_id
-            newly_append(task_id)
             sid = stage_of[task_id]
             final_raw[task_id] = (
                 attempt.execution_time or 0.0,
                 attempt.instance_id,
             )
-            if not tracking_ok:
-                continue
             if unfinished_pop(task_id, None) is None:
-                # a completion we never tracked (duplicate/replayed log
-                # entry) — the class counts are unprovable from here on
-                tracking_ok = False
-                continue
+                raise RuntimeError(
+                    f"the completion log reports task {task_id!r} complete "
+                    "but the run-state build does not track it as incomplete "
+                    "(a duplicate or replayed completion)"
+                )
             stage_incomplete[sid] -= 1
             sizes = nonblocked_sizes[sid]
             sizes[input_size[task_id]] -= 1
@@ -1080,13 +1006,12 @@ class TaskPredictor:
                     csizes = nonblocked_sizes[csid]
                     csize = input_size[child]
                     csizes[csize] = csizes.get(csize, 0) + 1
-        self._tracking_ok = tracking_ok
-        newly_completed = tuple(newly)
 
-        if not tracking_ok or len(final_raw) != master.completed_count:
-            # the master knows completions the monitor log does not (or
-            # vice versa) — e.g. hand-built fixtures; rebuild exactly
-            return self._build_run_state_full(master, monitor, now, t_data)
+        if len(final_raw) != master.completed_count:
+            raise RuntimeError(
+                f"the completion log holds {len(final_raw)} completed tasks "
+                f"but the framework master counts {master.completed_count}"
+            )
 
         # The phase snapshot: one C-speed dict copy, frozen at the tick so
         # deferred materialization cannot see post-tick transitions.
@@ -1107,7 +1032,9 @@ class TaskPredictor:
             incomplete_n = stage_incomplete[sid]
             if incomplete_n <= 0:
                 if incomplete_n < 0:
-                    return self._build_run_state_full(master, monitor, now, t_data)
+                    raise RuntimeError(
+                        f"stage {sid!r} counts {incomplete_n} incomplete tasks"
+                    )
                 continue
             total_incomplete += incomplete_n
             view = self._stage_view(sid, monitor, now)
@@ -1139,24 +1066,36 @@ class TaskPredictor:
                     policy = ctx.sized(size)[1]
                     counts[policy] = counts.get(policy, 0) + cnt
         if total_incomplete + len(final_raw) != len(self.workflow):
-            return self._build_run_state_full(master, monitor, now, t_data)
+            raise RuntimeError(
+                f"{total_incomplete} incomplete and {len(final_raw)} completed "
+                f"tasks do not add up to the workflow's {len(self.workflow)}"
+            )
 
         # eager in-flight annotations (the projection and Algorithm 2 read
         # their instance/sunk state every tick), in topological order
         in_flight_ids = monitor.in_flight_task_ids()
         try:
             in_flight_ids.sort(key=self._topo_index.__getitem__)
-        except KeyError:
-            return self._build_run_state_full(master, monitor, now, t_data)
+        except KeyError as exc:
+            raise RuntimeError(
+                f"the monitor reports task {exc.args[0]!r} in flight but it "
+                "is not a task of this workflow"
+            ) from None
         data: dict[str, TaskEstimate] = {}
         for task_id in in_flight_ids:
-            phase = phases.get(task_id)
-            if phase is None or not phase.occupies_slot:
-                return self._build_run_state_full(master, monitor, now, t_data)
+            phase = phases[task_id]
+            if not phase.occupies_slot:
+                raise RuntimeError(
+                    f"the monitor reports task {task_id!r} in flight but the "
+                    f"framework master has it {phase.name}"
+                )
             sid = stage_of[task_id]
             ctx = contexts.get(sid)
             if ctx is None:
-                return self._build_run_state_full(master, monitor, now, t_data)
+                raise RuntimeError(
+                    f"task {task_id!r} is in flight but its stage {sid!r} "
+                    "counts no incomplete tasks"
+                )
             view = ctx.view
             if not view.has_completed:
                 if view.has_running:
@@ -1188,99 +1127,10 @@ class TaskPredictor:
             now=now,
         )
         state = RunState(now=now, transfer_estimate=t_data, estimates=estimates)
-        state.newly_completed = newly_completed
         state.completed_count = master.completed_count
         state.in_flight = tuple(in_flight_ids)
         state.unfinished_parents = unfinished
         state._policy_counts = counts
-        return state
-
-    def _build_run_state_full(
-        self, master: FrameworkMaster, monitor: Monitor, now: float, t_data: float
-    ) -> RunState:
-        """The historical full-DAG scan — exact reference and fallback.
-
-        Leaves the delta fields of the returned :class:`RunState` unset so
-        downstream incremental consumers (the lookahead simulator) also
-        take their exact fallback, and resynchronizes the predictor's own
-        incremental bookkeeping so the next tick can resume the fast path.
-        """
-        state = RunState(now=now, transfer_estimate=t_data)
-        views: dict[str, _StageView] = {}
-        estimates = state.estimates
-        final = self._final_estimates
-        final_raw = self._final_raw
-        workflow = self.workflow
-        stage_of = workflow.stage_of
-        task_state = master.state
-        completed = TaskExecState.COMPLETED
-        input_size = self._input_size
-        # resynchronized class tracking, rebuilt alongside the scan
-        blocked_count = {s.stage_id: 0 for s in workflow.stages}
-        nonblocked_sizes: dict[str, dict[float, int]] = {
-            s.stage_id: {} for s in workflow.stages
-        }
-        stage_incomplete = {s.stage_id: 0 for s in workflow.stages}
-        unfinished: dict[str, int] = {}
-        completed_set: set[str] = set()
-        parents_of = workflow.parents
-        for task_id in workflow.topological_order():
-            phase = task_state(task_id)
-            if phase is completed:
-                completed_set.add(task_id)
-                # A completed task's annotation is immutable; build it the
-                # first time the task is seen completed, then reuse. Keep
-                # the raw record in sync so the delta path's completed
-                # count reconciles after this resync.
-                estimate = final.get(task_id)
-                if estimate is None:
-                    attempt = monitor.current_attempt(task_id)
-                    final_raw[task_id] = (
-                        attempt.execution_time or 0.0,
-                        attempt.instance_id,
-                    )
-                    estimate = final[task_id] = TaskEstimate(
-                        task_id=task_id,
-                        stage_id=stage_of[task_id],
-                        phase=phase,
-                        exec_estimate=attempt.execution_time or 0.0,
-                        policy=PredictionPolicy.OBSERVED,
-                        remaining_occupancy=0.0,
-                        sunk_occupancy=0.0,
-                        instance_id=attempt.instance_id,
-                    )
-                estimates[task_id] = estimate
-                continue
-            stage_id = stage_of[task_id]
-            stage_incomplete[stage_id] += 1
-            unfinished[task_id] = sum(
-                1 for p in parents_of(task_id) if p not in completed_set
-            )
-            if phase is TaskExecState.BLOCKED:
-                blocked_count[stage_id] += 1
-            else:
-                sizes = nonblocked_sizes[stage_id]
-                size = input_size[task_id]
-                sizes[size] = sizes.get(size, 0) + 1
-            view = views.get(stage_id)
-            if view is None:
-                view = views[stage_id] = self._stage_view(stage_id, monitor, now)
-            estimate, policy = self.estimate_execution(
-                task_id, phase, monitor, now, _view=view
-            )
-            estimates[task_id] = self._annotate_incomplete(
-                task_id, stage_id, phase, estimate, policy, monitor, now, t_data
-            )
-        # resync the delta machinery with what the scan established
-        self._unfinished_parents = unfinished
-        self._blocked_count = blocked_count
-        self._nonblocked_sizes = nonblocked_sizes
-        self._stage_incomplete = stage_incomplete
-        self._tracking_ok = True
-        # The scan-derived completion topology is exact, so hand it to the
-        # projection even though the other delta fields stay unset.
-        state.unfinished_parents = unfinished
-        state.completed_count = len(completed_set)
         return state
 
     def _annotate_incomplete(

@@ -60,22 +60,18 @@ class TaskEstimate:
 class RunState:
     """The controller's annotated snapshot at one MAPE tick.
 
-    The delta fields (``newly_completed``, ``completed_count``,
-    ``in_flight``) are optional accelerator metadata filled in by
-    :meth:`~repro.core.predictor.TaskPredictor.build_run_state`: they let
-    the lookahead simulator patch its persistent projection state
-    incrementally instead of re-deriving the DAG completion topology from
-    ``estimates`` every tick. A ``RunState`` built by hand (tests, custom
-    policies) can leave them ``None`` — consumers then fall back to the
-    exact from-scratch path.
+    The topology fields (``completed_count``, ``in_flight``,
+    ``unfinished_parents``) are filled in by the predictor's
+    :meth:`~repro.core.predictor.TaskPredictor.build_run_state`, and the
+    lookahead simulator projects from them as they are: a run state
+    without them, or with a stale unfinished-parent map, makes the
+    projection raise ``ValueError``. A ``RunState`` built by hand for
+    anything other than projection can leave them ``None``.
     """
 
     now: float
     transfer_estimate: float
     estimates: dict[str, TaskEstimate] = field(default_factory=dict)
-    #: task ids completed since the previous run state built by the same
-    #: predictor, in completion order (None: unknown — force fallback)
-    newly_completed: tuple[str, ...] | None = None
     #: total completed tasks at this tick (None: unknown)
     completed_count: int | None = None
     #: tasks currently occupying slots, in topological order (None: unknown)
@@ -83,8 +79,8 @@ class RunState:
     #: live reference to the predictor's incomplete-task -> unfinished
     #: parent count map at this tick (None: unknown). Consumers must
     #: treat it as read-only between ticks; the lookahead simulator
-    #: adopts it directly instead of re-deriving the same map, and rolls
-    #: back any temporary projection decrements through its undo log.
+    #: adopts it directly, and rolls back any temporary projection
+    #: decrements through its undo log.
     unfinished_parents: "dict[str, int] | None" = None
     #: policy tally pre-counted during the run-state build (internal
     #: cache consumed by :meth:`policy_counts`)

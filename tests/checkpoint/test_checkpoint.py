@@ -122,6 +122,12 @@ class TestCheckpointFile:
         # task events carry the engine's attempt handles.
         self.assert_rejects_old_version(small_fleet, tmp_path, 3)
 
+    def test_rejects_version_4(self, small_fleet, tmp_path):
+        # Version 4 pickled predictors carrying fallback flags and
+        # lookahead simulators holding a copy of the completion topology;
+        # since version 5 the simulator adopts the run state's topology.
+        self.assert_rejects_old_version(small_fleet, tmp_path, 4)
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "nope.ckpt")

@@ -1,15 +1,15 @@
 """Differential suites for the controller fast paths.
 
-The optimized controller keeps three caches that must be *invisible* in
-the outputs: the lookahead simulator's persistent completion topology,
-the vectorized Algorithm 3 crossing walk, and the Policy-4/5 evaluation
-memos keyed on ``(completed-version, model generation)``. Each suite
-here pits a fast path against its exact reference under hypothesis:
+The optimized controller keeps three mechanisms that must be *invisible*
+in the outputs: the lookahead simulator's in-place use of the adopted
+completion topology, the vectorized Algorithm 3 crossing walk, and the
+Policy-4/5 evaluation memos keyed on ``(completed-version, model
+generation)``. Each suite here pits a fast path against its exact
+reference under hypothesis:
 
-1. incremental ≡ from-scratch projection over evolving tick sequences,
-   covering the rebuild path (no delta metadata), the adoption path
-   (``unfinished_parents``/``completed_count``), the legacy delta path
-   (``newly_completed``), and stale run-state replay;
+1. a simulator reused across evolving tick sequences ≡ a fresh one per
+   tick, each projection leaving the adopted unfinished-parent map as it
+   found it, and a stale run-state replay raising;
 2. ``resize_pool`` ≡ ``resize_pool_reference`` bit-for-bit, with loads
    biased toward the nasty cases (uniform cohorts, values at exact
    charging-unit multiples, zero tails);
@@ -21,7 +21,9 @@ here pits a fast path against its exact reference under hypothesis:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from controller_oracle import reference_topology
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -41,17 +43,12 @@ from repro.engine import Monitor, TaskExecState
 from repro.workloads import random_layered_workflow
 
 # ---------------------------------------------------------------------------
-# 1. incremental ≡ from-scratch projection
+# 1. reused ≡ fresh projection
 # ---------------------------------------------------------------------------
 
 
-def _build_tick(draw, workflow, order, n_done, prev_done, now, mode):
-    """One consistent (run_state, instances, queued, horizon) snapshot.
-
-    ``mode`` selects which delta-accelerator fields the run state carries:
-    ``"none"`` forces the from-scratch rebuild, ``"adopt"`` exercises the
-    topology-adoption path, ``"delta"`` the legacy newly-completed patch.
-    """
+def _build_tick(draw, workflow, order, n_done, now):
+    """One consistent (run_state, instances, queued, horizon) snapshot."""
     horizon = draw(st.floats(min_value=1.0, max_value=300.0))
     n_instances = draw(st.integers(min_value=1, max_value=3))
     slots = draw(st.integers(min_value=1, max_value=2))
@@ -115,21 +112,11 @@ def _build_tick(draw, workflow, order, n_done, prev_done, now, mode):
             instance_id=instance_id,
         )
 
-    kwargs: dict = {}
-    if mode in ("adopt", "delta"):
-        kwargs["newly_completed"] = tuple(order[prev_done:n_done])
-        kwargs["completed_count"] = n_done
-        kwargs["in_flight"] = tuple(t for t in order if t in set(running))
-    if mode == "adopt":
-        kwargs["unfinished_parents"] = {
-            tid: sum(1 for p in workflow.parents(tid) if p not in completed)
-            for tid in order[n_done:]
-        }
     state = RunState(
         now=now,
         transfer_estimate=draw(st.floats(min_value=0.0, max_value=10.0)),
         estimates=estimates,
-        **kwargs,
+        **reference_topology(workflow, estimates),
     )
     return state, instances, tuple(queued), horizon
 
@@ -150,16 +137,10 @@ def tick_sequences(draw):
             )
         )
     )
-    ticks = []
-    prev_done = 0
-    for k, n_done in enumerate(counts):
-        mode = draw(st.sampled_from(["none", "adopt", "delta"]))
-        ticks.append(
-            _build_tick(
-                draw, workflow, order, n_done, prev_done, 500.0 + 100.0 * k, mode
-            )
-        )
-        prev_done = n_done
+    ticks = [
+        _build_tick(draw, workflow, order, n_done, 500.0 + 100.0 * k)
+        for k, n_done in enumerate(counts)
+    ]
     return workflow, ticks
 
 
@@ -175,16 +156,19 @@ def _assert_same_projection(a, b):
 @given(tick_sequences())
 @settings(max_examples=50, deadline=None)
 def test_incremental_projection_matches_from_scratch(scenario):
-    """One persistent simulator across ticks ≡ a fresh one per tick.
+    """One simulator reused across ticks ≡ a fresh one per tick.
 
-    ``self_check=True`` additionally re-derives the persistent topology
-    inside every projection and asserts it, so a silently-wrong delta
-    patch fails here even if the final load happened to agree.
+    The projection decrements the adopted unfinished-parent map in place
+    and rolls the decrements back; the map must come back unchanged, or
+    the next tick (and the predictor that owns it) would see a corrupted
+    topology even if this tick's load happened to agree.
     """
     workflow, ticks = scenario
-    persistent = LookaheadSimulator(workflow, self_check=True)
+    reused = LookaheadSimulator(workflow)
     for state, instances, queued, horizon in ticks:
-        incremental = persistent.project(state, instances, queued, horizon)
+        before = dict(state.unfinished_parents)
+        incremental = reused.project(state, instances, queued, horizon)
+        assert state.unfinished_parents == before
         scratch = LookaheadSimulator(workflow).project(
             state, instances, queued, horizon
         )
@@ -193,21 +177,26 @@ def test_incremental_projection_matches_from_scratch(scenario):
 
 @given(tick_sequences())
 @settings(max_examples=25, deadline=None)
-def test_stale_run_state_replay_falls_back(scenario):
-    """Re-projecting an old tick after newer ones must fall back exactly.
+def test_stale_run_state_replay_raises(scenario):
+    """Re-projecting an old tick after the topology moved on must raise.
 
-    A stale run state's delta metadata contradicts the simulator's
-    persistent topology (its completed count went *backwards*); the
-    simulator must detect that and rebuild rather than trust the patch.
+    The predictor hands every run state its one live unfinished-parent
+    map. An old run state replayed after later completions shrank that
+    map carries a completed count the map no longer matches; projecting
+    from it would silently mix two ticks, so the simulator refuses.
     """
     workflow, ticks = scenario
-    persistent = LookaheadSimulator(workflow, self_check=True)
+    assume(ticks[0][0].completed_count != ticks[-1][0].completed_count)
+    live: dict[str, int] = {}
+    simulator = LookaheadSimulator(workflow)
     for state, instances, queued, horizon in ticks:
-        persistent.project(state, instances, queued, horizon)
+        live.clear()
+        live.update(state.unfinished_parents)
+        state.unfinished_parents = live
+        simulator.project(state, instances, queued, horizon)
     state, instances, queued, horizon = ticks[0]
-    replay = persistent.project(state, instances, queued, horizon)
-    scratch = LookaheadSimulator(workflow).project(state, instances, queued, horizon)
-    _assert_same_projection(replay, scratch)
+    with pytest.raises(ValueError, match="unfinished_parents"):
+        simulator.project(state, instances, queued, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from controller_oracle import reference_topology
 
 from repro.core import (
     LookaheadSimulator,
@@ -48,17 +49,21 @@ def pipeline_workflow():
     return builder.build()
 
 
-def run_state(now, estimates, transfer=0.0):
-    state = RunState(now=now, transfer_estimate=transfer)
-    for e in estimates:
-        state.estimates[e.task_id] = e
-    return state
+def run_state(workflow, now, estimates, transfer=0.0):
+    by_id = {e.task_id: e for e in estimates}
+    return RunState(
+        now=now,
+        transfer_estimate=transfer,
+        estimates=by_id,
+        **reference_topology(workflow, by_id),
+    )
 
 
 class TestProjection:
     def test_running_task_survives_horizon(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate("a", "a#0", TaskExecState.EXECUTING, 50.0, instance="vm-1"),
@@ -81,6 +86,7 @@ class TestProjection:
     def test_completion_cascade_fires_children(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate("a", "a#0", TaskExecState.EXECUTING, 5.0, instance="vm-1"),
@@ -103,6 +109,7 @@ class TestProjection:
     def test_workflow_done_detected(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate("a", "a#0", TaskExecState.EXECUTING, 1.0, instance="vm-1"),
@@ -119,6 +126,7 @@ class TestProjection:
     def test_pending_instance_adds_capacity_later(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate("a", "a#0", TaskExecState.READY, 100.0),
@@ -140,6 +148,7 @@ class TestProjection:
     def test_restart_costs_grow_to_horizon(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             100.0,
             [
                 estimate(
@@ -163,6 +172,7 @@ class TestProjection:
     def test_draining_instance_tasks_requeued(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate(
@@ -189,6 +199,7 @@ class TestProjection:
     def test_q_order_running_first(self, pipeline_workflow):
         sim = LookaheadSimulator(pipeline_workflow)
         state = run_state(
+            pipeline_workflow,
             0.0,
             [
                 estimate("a", "a#0", TaskExecState.EXECUTING, 100.0, instance="vm-1"),
@@ -200,3 +211,34 @@ class TestProjection:
         instances = [VirtualInstance("vm-1", slots=1, available_at=0.0, occupants=("a",))]
         load = sim.project(state, instances, ("x",), horizon=10.0)
         assert [t.task_id for t in load.tasks] == ["a", "x"]
+
+
+class TestTopology:
+    def _estimates(self):
+        return [
+            estimate("a", "a#0", TaskExecState.COMPLETED, 0.0),
+            estimate("b", "b#0", TaskExecState.READY, 10.0),
+            estimate("c", "c#0", TaskExecState.BLOCKED, 10.0),
+            estimate("x", "x#0", TaskExecState.READY, 10.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "field", ["unfinished_parents", "completed_count", "in_flight"]
+    )
+    def test_missing_topology_field_raises(self, pipeline_workflow, field):
+        state = run_state(pipeline_workflow, 0.0, self._estimates())
+        setattr(state, field, None)
+        instances = [VirtualInstance("vm-1", slots=1, available_at=0.0)]
+        with pytest.raises(ValueError, match=field):
+            LookaheadSimulator(pipeline_workflow).project(
+                state, instances, ("b", "x"), horizon=5.0
+            )
+
+    def test_unreconciled_count_raises(self, pipeline_workflow):
+        state = run_state(pipeline_workflow, 0.0, self._estimates())
+        state.completed_count = 2
+        instances = [VirtualInstance("vm-1", slots=1, available_at=0.0)]
+        with pytest.raises(ValueError, match="stale"):
+            LookaheadSimulator(pipeline_workflow).project(
+                state, instances, ("b", "x"), horizon=5.0
+            )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+from controller_oracle import reference_topology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +87,7 @@ def projection_scenario(draw):
             sunk_occupancy=10.0 if tid in running else 0.0,
             instance_id=instance_id,
         )
+    state = dataclasses.replace(state, **reference_topology(workflow, state.estimates))
     return workflow, state, instances, tuple(queued), horizon
 
 

