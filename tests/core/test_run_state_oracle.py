@@ -19,6 +19,7 @@ from repro.autoscalers import OracleAutoscaler, WireAutoscaler
 from repro.cloud import exogeni_site
 from repro.cloud.faults import parse_chaos_spec
 from repro.core import TaskPredictor
+from repro.dag import WorkflowBuilder
 from repro.engine.simulator import Simulation
 from repro.experiments.harness import default_transfer_model
 from repro.fleet import (
@@ -77,6 +78,32 @@ class _CheckedWire(WireAutoscaler):
 def test_single_run_matches_full_scan(wf_name, u, seed):
     autoscaler = _CheckedWire()
     result = _run(wf_name, autoscaler, u, seed)
+    assert result.completed
+    assert autoscaler.predictor_class.builds == result.ticks > 1
+
+
+def test_near_equal_sizes_match_full_scan():
+    """Distinct input sizes within ``input_size_rtol`` share a Policy 4 group.
+
+    Table I's workflows repeat sizes exactly, so this run jitters each
+    map's size by under 1% around three centres: the groups then hold
+    several distinct sizes, and the per-size sorted lists are merged.
+    """
+    sizes = [centre * (1.0 + 0.002 * k) for centre in (1e8, 3e8, 9e8) for k in range(8)]
+    builder = WorkflowBuilder("jittered")
+    maps = builder.add_stage(
+        "map", len(sizes), [size / 4e6 for size in sizes], input_sizes=sizes
+    )
+    builder.add_stage("reduce", 4, 30.0, parents=maps, input_sizes=1e7)
+    autoscaler = _CheckedWire()
+    result = Simulation(
+        builder.build(),
+        exogeni_site(),
+        autoscaler,
+        60.0,
+        transfer_model=default_transfer_model(),
+        seed=0,
+    ).run()
     assert result.completed
     assert autoscaler.predictor_class.builds == result.ticks > 1
 
