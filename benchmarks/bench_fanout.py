@@ -2,7 +2,7 @@
 """Fan-out benchmark: per-backend campaign speedup with an absolute floor.
 
 Runs one Fig-5-scale campaign matrix serially, then once per parallel
-executor backend (``process``, ``workqueue``) at ``--jobs`` workers, and
+executor backend (``process``) at ``--jobs`` workers, and
 reports each backend's wall clock and speedup over serial. Every
 parallel store is compared byte-for-byte against the serial store — a
 backend that is fast but wrong fails before any speedup number prints.
@@ -43,7 +43,6 @@ from repro.experiments import (  # noqa: E402
 from repro.experiments.executors import (  # noqa: E402
     ExecutorBackend,
     ProcessBackend,
-    WorkqueueBackend,
 )
 from repro.util.formatting import render_table  # noqa: E402
 from repro.workloads import table1_specs  # noqa: E402
@@ -55,14 +54,12 @@ POLICIES = ("wire", "pure-reactive")
 CHARGING_UNITS = (60.0,)
 SEEDS = (0, 1)
 
-BACKENDS = ("process", "workqueue")
+BACKENDS = ("process",)
 
 
 def _make_backend(name: str, jobs: int, tmp_dir: Path) -> ExecutorBackend:
     if name == "process":
         return ProcessBackend(jobs=jobs)
-    if name == "workqueue":
-        return WorkqueueBackend(tmp_dir / f"queue-{name}", jobs=jobs)
     raise ValueError(f"unknown backend {name!r}")
 
 

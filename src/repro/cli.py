@@ -414,12 +414,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             trace_dir=args.trace_dir,
             chaos=_chaos(args.chaos),
             validate=args.validate,
-            backend=args.backend,
-            workqueue_dir=args.workqueue_dir,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    shown_backend = args.backend or ("serial" if args.jobs == 1 else "process")
+    shown_backend = "serial" if args.jobs == 1 else "process"
     print(
         f"{len(records)} cells in {args.store} "
         f"({executed} newly executed, backend={shown_backend}, jobs={args.jobs})"
@@ -451,8 +449,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
             charging_unit=args.charging_unit,
             seed=args.seed,
             jobs=args.jobs,
-            backend=args.backend,
-            workqueue_dir=args.workqueue_dir,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -517,8 +513,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 seeds=tuple(range(args.seed, args.seed + args.repetitions)),
                 jobs=args.jobs,
                 chaos=chaos,
-                backend=args.backend,
-                workqueue_dir=args.workqueue_dir,
             )
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
@@ -875,26 +869,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    """``--backend``/``--workqueue-dir`` for every fan-out subcommand."""
-    from repro.experiments.executors import BACKEND_NAMES
-
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="executor backend (default: serial at --jobs 1, else a "
-        "process pool with a pinned start method; workqueue fans out "
-        "over every host draining --workqueue-dir)",
-    )
-    parser.add_argument(
-        "--workqueue-dir",
-        metavar="DIR",
-        help="shared directory for --backend workqueue; other hosts join "
-        "with: python -m repro.experiments.executors.workqueue DIR",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -998,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default="campaign.json", help="campaign store JSON path"
     )
     campaign.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (1 = inline)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (1 = inline, else a local process pool)"
     )
     campaign.add_argument(
         "--save-every",
@@ -1037,7 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run every cell with the runtime invariant checker attached",
     )
-    _add_backend_args(campaign)
     campaign.set_defaults(handler=cmd_campaign)
 
     robustness = sub.add_parser(
@@ -1075,9 +1048,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     robustness.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes for the grid (1 = inline)",
+        help="worker processes for the grid (1 = inline, else a process pool)",
     )
-    _add_backend_args(robustness)
     _add_common_run_args(robustness)
     robustness.set_defaults(handler=cmd_robustness)
 
@@ -1191,12 +1163,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="sweep mode: worker processes (1 = inline)",
+        help="sweep mode: worker processes (1 = inline, else a process pool)",
     )
     fleet.add_argument(
         "--out", metavar="FILE", help="sweep mode: also write rows as JSON here"
     )
-    _add_backend_args(fleet)
     _add_common_run_args(fleet)
     fleet.set_defaults(handler=cmd_fleet)
 

@@ -1,25 +1,22 @@
 """Pluggable executor backends for campaign/sweep fan-out.
 
-One contract, three implementations:
+One contract, two implementations:
 
 | backend | runs on | use when |
 |---|---|---|
 | ``serial`` | the calling process | debugging; tiny matrices; ``jobs=1`` |
 | ``process`` | a persistent local process pool (pinned start method) | one multi-core host |
-| ``workqueue`` | any number of hosts draining one shared directory | cluster-scale grids |
 
-All three honor identical observable semantics — task-order results,
+Both honor identical observable semantics — task-order results,
 executed-attempt-only retry accounting with free crash resubmission,
-streamed completion callbacks — so serial ≡ process ≡ workqueue holds
-byte-for-byte on every campaign store and sweep row list (the
-conformance suite in ``tests/experiments/test_executors.py`` enforces
-it per backend). :func:`resolve_backend` turns a CLI-level
-``(--backend, --jobs, --workqueue-dir)`` triple into a ready instance.
+streamed completion callbacks — so serial ≡ process holds byte-for-byte
+on every campaign store and sweep row list (the conformance suite in
+``tests/experiments/test_executors.py`` enforces it per backend).
+:func:`resolve_backend` turns a ``(backend, jobs)`` pair into a ready
+instance.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.experiments.executors.base import (
     CRASH_FREE_RETRIES,
@@ -28,7 +25,6 @@ from repro.experiments.executors.base import (
 )
 from repro.experiments.executors.process import DEFAULT_START_METHOD, ProcessBackend
 from repro.experiments.executors.serial import SerialBackend
-from repro.experiments.executors.workqueue import WorkqueueBackend, consume_workqueue
 
 __all__ = [
     "BACKEND_NAMES",
@@ -38,29 +34,22 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskOutcome",
-    "WorkqueueBackend",
-    "consume_workqueue",
     "resolve_backend",
 ]
 
-#: the names ``--backend`` accepts, in documentation order
-BACKEND_NAMES = ("serial", "process", "workqueue")
+#: the backend names :func:`resolve_backend` accepts, in documentation order
+BACKEND_NAMES = ("serial", "process")
 
 
 def resolve_backend(
-    backend: str | ExecutorBackend | None,
-    *,
-    jobs: int = 1,
-    workqueue_dir: str | Path | None = None,
+    backend: str | ExecutorBackend | None, *, jobs: int = 1
 ) -> ExecutorBackend:
     """Build the backend a fan-out call should use.
 
     ``None`` picks the obvious default: ``serial`` at ``jobs=1``,
-    ``process`` otherwise — so existing ``jobs=N`` call sites keep their
-    behavior without naming a backend. A ready :class:`ExecutorBackend`
-    instance passes through untouched (the hook custom backends use).
-    ``workqueue`` requires ``workqueue_dir``, the shared directory other
-    hosts point their consumers at.
+    ``process`` otherwise — so ``jobs=N`` call sites need not name a
+    backend. A ready :class:`ExecutorBackend` instance passes through
+    untouched (the hook custom backends use).
     """
     if isinstance(backend, ExecutorBackend):
         return backend
@@ -70,12 +59,5 @@ def resolve_backend(
         return SerialBackend()
     if backend == "process":
         return ProcessBackend(jobs=max(jobs, 1))
-    if backend == "workqueue":
-        if workqueue_dir is None:
-            raise ValueError(
-                "the workqueue backend needs a shared directory; "
-                "pass workqueue_dir= (CLI: --workqueue-dir DIR)"
-            )
-        return WorkqueueBackend(workqueue_dir, jobs=jobs)
     known = ", ".join(BACKEND_NAMES)
     raise ValueError(f"unknown executor backend {backend!r}; choose one of: {known}")

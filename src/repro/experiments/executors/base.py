@@ -2,10 +2,9 @@
 
 A backend executes a list of independent, picklable *tasks* through one
 module-level *worker* callable against a *context* that is shipped to
-each worker exactly once (not re-pickled per task). The three bundled
-implementations — :class:`~repro.experiments.executors.SerialBackend`,
-:class:`~repro.experiments.executors.ProcessBackend`, and
-:class:`~repro.experiments.executors.WorkqueueBackend` — all honor the
+each worker exactly once (not re-pickled per task). The two bundled
+implementations — :class:`~repro.experiments.executors.SerialBackend`
+and :class:`~repro.experiments.executors.ProcessBackend` — honor the
 same observable semantics, which the conformance suite
 (``tests/experiments/test_executors.py``) checks backend-by-backend:
 
@@ -14,8 +13,7 @@ same observable semantics, which the conformance suite
   through any backend is byte-identical to a serial one.
 * **Retry accounting.** Only an attempt that *executed and failed* (the
   worker callable raised) is charged against ``max_attempts``. Work
-  that was merely in flight when a worker process died (or a lease
-  expired) is resubmitted free of charge — two unrelated worker deaths
+  that was merely in flight when a worker process died is resubmitted free of charge — two unrelated worker deaths
   can never spuriously fail a task that never itself crashed.
 * **Livelock cap.** Free resubmission is bounded: after
   ``CRASH_FREE_RETRIES`` consecutive crash-like failures with no
@@ -35,7 +33,7 @@ from typing import Any, Callable, ClassVar, Sequence
 
 __all__ = ["CRASH_FREE_RETRIES", "ExecutorBackend", "TaskOutcome", "format_error"]
 
-#: consecutive crash-like failures (worker death, lease expiry) a task
+#: consecutive crash-like failures (worker deaths) a task
 #: absorbs free of charge before further crashes are charged as attempts
 CRASH_FREE_RETRIES = 3
 

@@ -15,7 +15,6 @@ runs produce identical rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from repro.cloud.faults import ChaosSpec
@@ -89,12 +88,11 @@ def fleet_experiment(
     jobs: int = 1,
     chaos: ChaosSpec | None = None,
     backend: str | ExecutorBackend | None = None,
-    workqueue_dir: str | Path | None = None,
 ) -> list[FleetSweepRow]:
     """Sweep the Poisson arrival rate; one row per ``(rate, seed)`` cell.
 
     Rows come back sorted by ``(rate, seed)`` whatever the worker (or
-    backend) completion order, so serial ≡ process ≡ workqueue output.
+    backend) completion order, so serial ≡ process output.
     """
     if not rates:
         raise ValueError("at least one arrival rate is required")
@@ -105,8 +103,7 @@ def fleet_experiment(
         for seed in seeds
     ]
     rows = parallel_map(
-        _run_sweep_cell, cells, jobs=jobs, backend=backend,
-        workqueue_dir=workqueue_dir,
+        _run_sweep_cell, cells, jobs=jobs, backend=backend
     )
     return sorted(rows, key=lambda r: (r.rate, r.seed))
 

@@ -7,12 +7,11 @@ the thin façade that adapts the two fan-out shapes the experiments use —
 :func:`parallel_map` for generic sweeps and
 :func:`run_campaign_parallel` for persistent campaign stores — onto
 :mod:`repro.experiments.executors`, which owns the actual execution
-(inline, persistent process pool with a pinned start method, or the
-multi-host work-queue protocol).
+(inline, or a persistent process pool with a pinned start method).
 
 Determinism: a cell's simulation depends only on its ``(workflow,
 policy, charging_unit, seed)`` key — never on scheduling order or which
-worker (or host) ran it — so every backend produces a byte-identical
+worker ran it — so every backend produces a byte-identical
 store to a serial run (records are persisted in sorted key order).
 
 Failure semantics differ by shape, deliberately:
@@ -79,7 +78,6 @@ def parallel_map(
     jobs: int = 1,
     chunk: int | None = None,
     backend: str | ExecutorBackend | None = None,
-    workqueue_dir: str | Path | None = None,
 ) -> list:
     """Fan a picklable function over independent items, order-preserving.
 
@@ -101,7 +99,7 @@ def parallel_map(
         raise ValueError("jobs must be >= 1")
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be >= 1")
-    the_backend = resolve_backend(backend, jobs=jobs, workqueue_dir=workqueue_dir)
+    the_backend = resolve_backend(backend, jobs=jobs)
     if isinstance(the_backend, SerialBackend) or len(items) <= 1:
         the_backend = SerialBackend()
         batches = [list(items)] if items else []
@@ -227,14 +225,12 @@ def run_campaign_parallel(
     chaos: ChaosSpec | None = None,
     validate: object = None,
     backend: str | ExecutorBackend | None = None,
-    workqueue_dir: str | Path | None = None,
 ) -> tuple[list[CellRecord], int, list[FailedCell]]:
     """Fill the matrix's missing cells through an executor backend.
 
     Returns ``(all records, #new, failed cells)``. ``backend=None``
-    picks ``serial`` at ``jobs=1`` and the process pool otherwise;
-    ``backend="workqueue"`` (with ``workqueue_dir``) lets several hosts
-    drain one matrix. Whatever runs the cells, the resulting store is
+    picks ``serial`` at ``jobs=1`` and the process pool otherwise.
+    Whatever runs the cells, the resulting store is
     byte-identical to a serial
     :func:`~repro.experiments.campaign.run_campaign` over the same
     matrix. The store is saved after every ``save_every`` completions
@@ -250,7 +246,7 @@ def run_campaign_parallel(
     the_site = site or exogeni_site()
     the_trace_dir = str(trace_dir) if trace_dir is not None else None
     todo = missing_cells(store, specs, policies, charging_units, seeds)
-    the_backend = resolve_backend(backend, jobs=jobs, workqueue_dir=workqueue_dir)
+    the_backend = resolve_backend(backend, jobs=jobs)
     if backend is None and len(todo) <= 1:
         the_backend = SerialBackend()  # a pool for one cell is pure overhead
     if isinstance(the_backend, SerialBackend):

@@ -19,7 +19,6 @@ robustness means the cost advantage survives as predictions get worse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.autoscalers import WireAutoscaler, full_site
@@ -121,7 +120,6 @@ def robustness_experiment(
     site: CloudSite | None = None,
     jobs: int = 1,
     backend: str | ExecutorBackend | None = None,
-    workqueue_dir: str | Path | None = None,
 ) -> list[RobustnessRow]:
     """Sweep degradation levels; returns one row per (workload, level).
 
@@ -147,6 +145,5 @@ def robustness_experiment(
         for chaos in chaos_levels
     ]
     return parallel_map(
-        _run_robustness_cell, cells, jobs=jobs, backend=backend,
-        workqueue_dir=workqueue_dir,
+        _run_robustness_cell, cells, jobs=jobs, backend=backend
     )

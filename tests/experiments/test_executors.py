@@ -4,9 +4,6 @@ Every backend must be observably equivalent to the serial reference:
 byte-identical campaign stores and traces, task-order results, retry
 accounting that charges only executed-and-failed attempts (crash-drained
 work resubmits free), and bounded behavior when workers die repeatedly.
-The workqueue backend additionally proves its file protocol: two
-consumers racing on one queue never double-execute a task, and a
-consumer SIGKILLed mid-task is recovered through lease expiry.
 """
 
 from __future__ import annotations
@@ -25,21 +22,18 @@ from repro.experiments.executors import (
     ProcessBackend,
     SerialBackend,
     TaskOutcome,
-    WorkqueueBackend,
     resolve_backend,
 )
 from repro.experiments.parallel import FailedCell, parallel_map, run_campaign_parallel
 from repro.workloads import tpch1, tpch6
 
-BACKEND_NAMES = ["serial", "process", "workqueue"]
+BACKEND_NAMES = ["serial", "process"]
 
 
 def make_backend(name: str, tmp_path) -> ExecutorBackend:
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(jobs=2)
-    return WorkqueueBackend(tmp_path / "queue", jobs=2, lease_timeout=30.0)
+    return ProcessBackend(jobs=2)
 
 
 def _square(context, task):
@@ -73,31 +67,6 @@ def _record_and_maybe_kill(context, task):
         os.kill(os.getpid(), signal.SIGKILL)
     time.sleep(0.05)  # keep innocents in flight across the crashes
     return task
-
-
-def _exclusive_marker(context, task):
-    """Fail loudly if any task is ever executed twice."""
-    directory = context
-    with open(os.path.join(directory, f"exec-{task}"), "x"):
-        pass
-    time.sleep(0.02)
-    return task
-
-
-class _KillConsumerOnce:
-    """Picklable campaign factory: the first worker to build it dies."""
-
-    def __init__(self, sentinel: str) -> None:
-        self.sentinel = sentinel
-
-    def __call__(self):
-        try:
-            with open(self.sentinel, "x"):
-                pass
-        except FileExistsError:
-            return WireAutoscaler()
-        os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("unreachable")  # pragma: no cover
 
 
 @pytest.fixture
@@ -296,11 +265,6 @@ class TestStartMethod:
         backend = ProcessBackend(jobs=2, start_method="spawn")
         assert backend.mp_context.get_start_method() == "spawn"
 
-    def test_workqueue_consumers_share_the_pin(self, tmp_path):
-        backend = WorkqueueBackend(tmp_path / "q", jobs=1)
-        assert backend.start_method == DEFAULT_START_METHOD
-        assert backend.mp_context.get_start_method() == DEFAULT_START_METHOD
-
     def test_spawn_backend_still_byte_identical(self, tmp_path):
         # The pin is about *explicitness*; either method must produce
         # identical results, just at different startup cost.
@@ -313,91 +277,6 @@ class TestStartMethod:
         assert serial == spawned
 
 
-class TestWorkqueueProtocol:
-    def test_two_consumers_never_double_execute(self, tmp_path):
-        # Claims are exclusive-create files: of two consumers racing on
-        # the same task, exactly one wins. The worker creates its marker
-        # with O_EXCL, so any double execution raises FileExistsError
-        # and surfaces as a failed outcome.
-        backend = WorkqueueBackend(tmp_path / "q", jobs=2, lease_timeout=60.0)
-        tasks = [f"t{i}" for i in range(12)]
-        outcomes = backend.run(
-            _exclusive_marker, tasks, context=str(tmp_path), max_attempts=1
-        )
-        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
-        executed = sorted(
-            p.name for p in tmp_path.iterdir() if p.name.startswith("exec-")
-        )
-        assert executed == sorted(f"exec-{t}" for t in tasks)
-
-    def test_consumer_sigkill_recovered_via_lease_expiry(self, tmp_path):
-        # A consumer SIGKILLed mid-task leaves a claim with no result;
-        # the producer re-enqueues the attempt free of charge after the
-        # lease expires and the surviving consumer finishes the work.
-        backend = WorkqueueBackend(
-            tmp_path / "q", jobs=2, lease_timeout=0.4, poll_interval=0.02
-        )
-        tasks = ["kill-1"] + [f"ok-{i}" for i in range(4)]
-        outcomes = backend.run(
-            _record_and_maybe_kill,
-            tasks,
-            context=(str(tmp_path), "kill-once"),
-            max_attempts=2,
-        )
-        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
-        assert outcomes[0].crashes >= 1  # recovered through expiry, free
-        assert outcomes[0].attempts == 1
-
-    def test_worker_sigkill_mid_campaign_store_byte_identical(
-        self, tmp_path
-    ):
-        # The campaign-level version of the crash test, through the full
-        # store/trace pipeline: a consumer death mid-cell must still end
-        # in a store byte-identical to a serial campaign's.
-        specs = {"tpch6-S": tpch6("S")}
-        serial_path = tmp_path / "serial.json"
-        run_campaign(
-            CampaignStore(serial_path), specs, {"wire": WireAutoscaler},
-            [60.0], [0, 1],
-        )
-        killer = _KillConsumerOnce(str(tmp_path / "killed-once"))
-        backend = WorkqueueBackend(
-            tmp_path / "q", jobs=2, lease_timeout=0.4, poll_interval=0.02
-        )
-        records, executed, failed = run_campaign_parallel(
-            CampaignStore(tmp_path / "wq.json"),
-            specs,
-            {"wire": killer},
-            [60.0],
-            [0, 1],
-            backend=backend,
-        )
-        assert (tmp_path / "killed-once").exists()  # a consumer really died
-        assert failed == []
-        assert executed == 2
-        assert serial_path.read_bytes() == (tmp_path / "wq.json").read_bytes()
-
-    def test_external_consumer_can_drain_producerless_queue(self, tmp_path):
-        # jobs=0: the producer only coordinates; a consumer loop pointed
-        # at the directory (what a remote host runs) does all the work.
-        import threading
-
-        from repro.experiments.executors import consume_workqueue
-
-        backend = WorkqueueBackend(tmp_path / "q", jobs=0, poll_interval=0.01)
-        consumer = threading.Thread(
-            target=consume_workqueue,
-            args=(tmp_path / "q",),
-            kwargs={"poll_interval": 0.01},
-            daemon=True,
-        )
-        consumer.start()
-        outcomes = backend.run(_square, [2, 3, 4], max_attempts=1)
-        consumer.join(timeout=5.0)
-        assert not consumer.is_alive()
-        assert [o.value for o in outcomes] == [4, 9, 16]
-
-
 class TestResolveBackend:
     def test_defaults(self):
         assert isinstance(resolve_backend(None, jobs=1), SerialBackend)
@@ -408,14 +287,6 @@ class TestResolveBackend:
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend, jobs=8) is backend
-
-    def test_workqueue_requires_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="workqueue-dir"):
-            resolve_backend("workqueue", jobs=2)
-        backend = resolve_backend(
-            "workqueue", jobs=2, workqueue_dir=tmp_path / "q"
-        )
-        assert isinstance(backend, WorkqueueBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):

@@ -63,8 +63,7 @@ NOTES = {
     ),
     "repro.experiments.executors": (
         "The backend contract (retry accounting, pinned start method, "
-        "the workqueue file protocol, and the serial ≡ parallel "
-        "byte-identity guarantee) plus the multi-host recipe are "
+        "and the serial ≡ parallel byte-identity guarantee) is "
         "documented in [performance.md](performance.md)."
     ),
 }

@@ -20,8 +20,8 @@ fleet's ``fleet_controller_us_per_tick``) grew more than
 hot-path optimization, deliberately tolerant of machine-to-machine noise.
 
 A further gate rides on the same threshold: the campaign
-``parallel_speedup``, measured per executor backend (``process`` and
-``workqueue``, each against the same serial reference) — *skipped with
+``parallel_speedup``, measured for the ``process`` executor backend
+against a serial reference — *skipped with
 a GitHub Actions ``::notice`` when the host exposes fewer visible CPUs
 than campaign workers*, because a speedup measured on an oversubscribed
 host reflects queueing, not scaling, and gating on it flakes. The
@@ -54,7 +54,6 @@ from repro.experiments import (  # noqa: E402
 from repro.experiments.executors import (  # noqa: E402
     ExecutorBackend,
     ProcessBackend,
-    WorkqueueBackend,
 )
 from repro.workloads import table1_specs  # noqa: E402
 
@@ -96,15 +95,13 @@ CAMPAIGN_SEEDS = (0, 1)
 
 #: Parallel executor backends the campaign comparison measures, each
 #: against the same serial reference wall clock.
-CAMPAIGN_BACKENDS = ("process", "workqueue")
+CAMPAIGN_BACKENDS = ("process",)
 
 
 def campaign_backend(name: str, jobs: int, tmp_dir: Path) -> ExecutorBackend:
     """One measurable backend instance (its scratch state under ``tmp_dir``)."""
     if name == "process":
         return ProcessBackend(jobs=jobs)
-    if name == "workqueue":
-        return WorkqueueBackend(tmp_dir / f"queue-{name}", jobs=jobs)
     raise ValueError(f"unknown campaign backend {name!r}")
 
 
