@@ -71,8 +71,8 @@ class TaskOutcome:
 class ExecutorBackend(ABC):
     """One way of fanning independent tasks over compute.
 
-    Subclasses implement :meth:`run`; ``name`` is the CLI/registry
-    identifier (``--backend <name>``).
+    Subclasses implement :meth:`run`; ``name`` is the identifier
+    :func:`~repro.experiments.executors.resolve_backend` accepts.
     """
 
     name: ClassVar[str]
