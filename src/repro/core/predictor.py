@@ -29,12 +29,11 @@ coefficients) — a deferred materialization is therefore bit-identical to
 an eager one. Per-stage policy evaluations are memoized keyed on
 ``(completed-version, model generation)`` — see docs/performance.md.
 
-This incremental build is the only build. When its bookkeeping disagrees
-with the completion log or the framework master it raises
-``RuntimeError`` naming the task, stage or count; it never recovers by
-rescanning. The historical full-DAG scan lives on in
-tests/core/controller_oracle.py, where a differential test compares it
-with this build at every tick of engine-driven runs.
+When the bookkeeping disagrees with the completion log or the framework
+master, the build raises ``RuntimeError`` naming the task, stage or
+count. tests/core/controller_oracle.py holds a from-scratch full-DAG
+scan that a differential test compares with this build at every tick of
+engine-driven runs.
 """
 
 from __future__ import annotations

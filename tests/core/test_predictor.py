@@ -197,6 +197,29 @@ class TestRunStateAssembly:
         assert estimate.remaining_occupancy == pytest.approx(30.0)
         assert estimate.sunk_occupancy == pytest.approx(30.0)
 
+    def test_completion_unknown_to_master_raises(self, stage_workflow):
+        from repro.engine import FrameworkMaster
+
+        predictor = TaskPredictor(stage_workflow)
+        monitor = Monitor()
+        stage = stage_workflow.stage_of["map-0000"]
+        complete(monitor, "map-0000", stage, 0.0, 10.0, 100.0)
+        master = FrameworkMaster(stage_workflow)  # never told of the run
+        with pytest.raises(RuntimeError, match="framework master counts 0"):
+            predictor.build_run_state(master, monitor, 20.0)
+
+    def test_replayed_completion_raises(self, stage_workflow):
+        from repro.engine import FrameworkMaster
+
+        predictor = TaskPredictor(stage_workflow)
+        master = FrameworkMaster(stage_workflow)
+        monitor = Monitor()
+        stage = stage_workflow.stage_of["map-0000"]
+        complete(monitor, "map-0000", stage, 0.0, 10.0, 100.0)
+        monitor.record_complete("map-0000", 12.0)
+        with pytest.raises(RuntimeError, match="'map-0000'"):
+            predictor.build_run_state(master, monitor, 20.0)
+
     def test_mean_ablation_changes_aggregation(self, stage_workflow):
         monitor = Monitor()
         stage = stage_workflow.stage_of["map-0000"]
