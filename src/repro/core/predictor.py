@@ -869,9 +869,12 @@ class TaskPredictor:
         """Estimated minimum execution time for an incomplete task.
 
         Implements the policy selection of §III-C verbatim; returns the
-        estimate and which policy produced it. ``_view`` is an internal
-        fast path: :meth:`build_run_state` precomputes one stage view and
-        shares it across the stage's tasks.
+        estimate and which policy produced it. ``_view`` supplies a
+        precomputed stage view to share across a stage's tasks.
+        :meth:`build_run_state` applies the same selection inline from its
+        per-stage tick contexts and does not call this method, so a
+        subclass that changes the selection overrides
+        :meth:`build_run_state` too, as the clairvoyant oracle does.
         """
         view = (
             _view
