@@ -248,8 +248,9 @@ class _StageTickContext:
 class _LazyEstimates(MutableMapping):
     """The run state's ``estimates`` mapping, materialized on demand.
 
-    Iteration order is the workflow's topological order — identical to
-    the dict the historical full scan built. Completed tasks resolve to
+    Iteration order is the workflow's topological order, as in the
+    reference full scan's dict (tests/core/controller_oracle.py).
+    Completed tasks resolve to
     the predictor's immutable final annotations; in-flight tasks were
     annotated eagerly at build time; BLOCKED/READY tasks materialize on
     first access from the captured per-stage tick contexts, so untouched
@@ -363,8 +364,8 @@ class _LazyEstimates(MutableMapping):
             else:
                 # A slot-occupying task missing from the eager set: the
                 # master and monitor disagree about the in-flight set
-                # (hand-built fixtures). Annotate exactly like the
-                # historical scan, from the attempt record.
+                # (hand-built fixtures). Annotate from the attempt
+                # record, as the eager in-flight annotations are.
                 estimate = self._annotate(
                     task_id,
                     self._stage_of[task_id],
