@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Fan-out benchmark: per-backend campaign speedup with an absolute floor.
+"""Fan-out benchmark: process-pool campaign speedup with an absolute floor.
 
-Runs one Fig-5-scale campaign matrix serially, then once per parallel
-executor backend (``process``) at ``--jobs`` workers, and
-reports each backend's wall clock and speedup over serial. Every
-parallel store is compared byte-for-byte against the serial store — a
-backend that is fast but wrong fails before any speedup number prints.
+Runs one Fig-5-scale campaign matrix serially, then on the process
+executor backend at ``--jobs`` workers, and reports both wall clocks and
+the speedup over serial. The parallel store is compared byte-for-byte
+against the serial store — a backend that is fast but wrong fails before
+any speedup number prints.
 
 Modes::
 
@@ -13,7 +13,7 @@ Modes::
     PYTHONPATH=src python benchmarks/bench_fanout.py --jobs 2 \
         --check --min-speedup 1.2 --out bench-fanout.json
 
-``--check`` exits nonzero when any backend's speedup lands under
+``--check`` exits nonzero when the speedup lands under
 ``--min-speedup``. The gate is honest about hardware: when the host
 exposes fewer visible CPUs than ``--jobs`` workers, the speedup would
 measure oversubscription rather than scaling, so the check skips itself
@@ -40,10 +40,7 @@ from repro.experiments import (  # noqa: E402
     policy_factories,
     run_campaign_parallel,
 )
-from repro.experiments.executors import (  # noqa: E402
-    ExecutorBackend,
-    ProcessBackend,
-)
+from repro.experiments.executors import ProcessBackend  # noqa: E402
 from repro.util.formatting import render_table  # noqa: E402
 from repro.workloads import table1_specs  # noqa: E402
 
@@ -54,17 +51,9 @@ POLICIES = ("wire", "pure-reactive")
 CHARGING_UNITS = (60.0,)
 SEEDS = (0, 1)
 
-BACKENDS = ("process",)
-
-
-def _make_backend(name: str, jobs: int, tmp_dir: Path) -> ExecutorBackend:
-    if name == "process":
-        return ProcessBackend(jobs=jobs)
-    raise ValueError(f"unknown backend {name!r}")
-
 
 def _run_matrix(
-    label: str, jobs: int, backend: ExecutorBackend | None, tmp_dir: Path
+    label: str, jobs: int, backend: ProcessBackend | None, tmp_dir: Path
 ) -> tuple[float, bytes]:
     """One full campaign; returns (wall seconds, store bytes)."""
     site = exogeni_site()
@@ -106,7 +95,7 @@ def visible_cpus() -> int:
 
 
 def measure(jobs: int, repetitions: int) -> dict:
-    """Best-of-``repetitions`` serial and per-backend walls + speedups."""
+    """Best-of-``repetitions`` serial and process-pool walls + speedup."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp_dir = Path(tmp)
         serial_wall: float | None = None
@@ -116,48 +105,35 @@ def measure(jobs: int, repetitions: int) -> dict:
             serial_wall = wall if serial_wall is None else min(serial_wall, wall)
         assert serial_wall is not None and serial_blob is not None
         print(f"  serial: {serial_wall:.2f}s")
-        backends: dict[str, dict] = {}
-        for name in BACKENDS:
-            best: float | None = None
-            for _ in range(repetitions):
-                backend = _make_backend(name, jobs, tmp_dir)
-                wall, blob = _run_matrix(name, jobs, backend, tmp_dir)
-                if blob != serial_blob:
-                    raise RuntimeError(
-                        f"{name} store is not byte-identical to serial"
-                    )
-                best = wall if best is None else min(best, wall)
-            assert best is not None
-            backends[name] = {
-                "wall_s": round(best, 3),
-                "parallel_speedup": round(serial_wall / best, 2),
-            }
-            print(
-                f"  {name} (jobs={jobs}): {best:.2f}s  "
-                f"{backends[name]['parallel_speedup']:.2f}x  "
-                "(store byte-identical to serial)"
-            )
+        best: float | None = None
+        for _ in range(repetitions):
+            wall, blob = _run_matrix("process", jobs, ProcessBackend(jobs=jobs), tmp_dir)
+            if blob != serial_blob:
+                raise RuntimeError("process store is not byte-identical to serial")
+            best = wall if best is None else min(best, wall)
+        assert best is not None
+        speedup = round(serial_wall / best, 2)
+        print(
+            f"  process (jobs={jobs}): {best:.2f}s  {speedup:.2f}x  "
+            "(store byte-identical to serial)"
+        )
     return {
         "jobs": jobs,
         "cpus_visible": visible_cpus(),
         "cells": len(WORKLOADS) * len(POLICIES) * len(CHARGING_UNITS) * len(SEEDS),
         "serial_wall_s": round(serial_wall, 3),
-        "backends": backends,
+        "wall_s": round(best, 3),
+        "parallel_speedup": speedup,
     }
 
 
 def render(payload: dict) -> str:
-    rows = [
-        [
-            name,
-            f"{row['wall_s']:.2f}s",
-            f"{row['parallel_speedup']:.2f}x",
-        ]
-        for name, row in sorted(payload["backends"].items())
-    ]
     return render_table(
-        ["backend", "wall", "speedup vs serial"],
-        [["serial", f"{payload['serial_wall_s']:.2f}s", "1.00x"], *rows],
+        ["executor", "wall", "speedup vs serial"],
+        [
+            ["serial", f"{payload['serial_wall_s']:.2f}s", "1.00x"],
+            ["process", f"{payload['wall_s']:.2f}s", f"{payload['parallel_speedup']:.2f}x"],
+        ],
         title=(
             f"campaign fan-out — {payload['cells']} cells, "
             f"jobs={payload['jobs']}"
@@ -172,13 +148,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero when any backend speedup is below --min-speedup",
+        help="exit nonzero when the speedup is below --min-speedup",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=1.2,
-        help="absolute speedup floor each backend must clear under --check",
+        help="absolute speedup floor the process backend must clear under --check",
     )
     parser.add_argument("--out", help="write the JSON payload here")
     args = parser.parse_args(argv)
@@ -203,22 +179,15 @@ def main(argv: list[str] | None = None) -> int:
         out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", "utf-8")
         print(f"wrote {out}")
     if args.check:
-        slow = {
-            name: row["parallel_speedup"]
-            for name, row in payload["backends"].items()
-            if row["parallel_speedup"] < args.min_speedup
-        }
-        if slow:
-            listed = ", ".join(
-                f"{name} {speedup:.2f}x" for name, speedup in sorted(slow.items())
-            )
+        speedup = payload["parallel_speedup"]
+        if speedup < args.min_speedup:
             print(
-                f"FAIL: backend speedup below {args.min_speedup:.2f}x floor "
-                f"at jobs={args.jobs}: {listed}"
+                f"FAIL: process speedup {speedup:.2f}x is below the "
+                f"{args.min_speedup:.2f}x floor at jobs={args.jobs}"
             )
             return 1
         print(
-            f"PASS: every backend cleared the {args.min_speedup:.2f}x "
+            f"PASS: the process backend cleared the {args.min_speedup:.2f}x "
             f"speedup floor at jobs={args.jobs}"
         )
     return 0

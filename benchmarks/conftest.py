@@ -20,25 +20,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: repetitions per (workflow, policy, u) cell; the paper uses 3-7.
 BENCH_REPETITIONS = int(os.environ.get("REPRO_BENCH_REPS", "2"))
 
-#: worker processes for campaign-style benchmarks (0 = one per CPU).
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (os.cpu_count() or 1)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--smoke",
-        action="store_true",
-        default=False,
-        help="perf smoke mode: bench_engine_perf runs S-scale scenarios "
-        "only, finishing well under 30 seconds",
-    )
-
-
-@pytest.fixture
-def smoke(request) -> bool:
-    """True when the run was invoked with ``--smoke``."""
-    return bool(request.config.getoption("--smoke"))
-
 
 @pytest.fixture
 def save_report():

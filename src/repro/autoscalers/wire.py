@@ -37,6 +37,10 @@ class _ClairvoyantPredictor(TaskPredictor):
     estimate even with full knowledge of the model.
     """
 
+    def observe_interval(self, monitor: Monitor, window_start: float, now: float) -> None:
+        """Update only ``t̃_data``: no estimate reads the OGD models."""
+        self.observe_transfers(monitor, window_start, now)
+
     def estimate_execution(
         self,
         task_id: str,

@@ -38,7 +38,7 @@ engine-driven runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import MutableMapping
 from itertools import chain
 from dataclasses import dataclass, field
@@ -49,7 +49,7 @@ from repro.core.ogd import OnlineGradientDescentModel
 from repro.core.runstate import PredictionPolicy, RunState, TaskEstimate
 from repro.dag.workflow import Workflow
 from repro.engine.master import FrameworkMaster, TaskExecState
-from repro.engine.monitor import Monitor, TaskAttempt
+from repro.engine.monitor import Monitor
 from repro.metrics.stats import MovingMedian, mean, median, median_sorted
 
 __all__ = ["SharedEvalCache", "TaskPredictor"]
@@ -144,24 +144,6 @@ class _StageAccumulator:
         self.sizes: list[float] = []
         #: input size -> its execution times, sorted by value
         self.size_times: dict[float, list[float]] = {}
-
-    def add(self, attempt: TaskAttempt) -> None:
-        self.count += 1
-        exec_time = attempt.execution_time
-        if exec_time is None:
-            return
-        size = attempt.input_size
-        if not self.use_median:
-            # the mean is order-sensitive; keep the dispatch-order views
-            insort(self.by_size, (size, attempt._stage_seq, exec_time))
-            insort(self.by_seq, (attempt._stage_seq, exec_time))
-            return
-        insort(self.by_time, exec_time)
-        times = self.size_times.get(size)
-        if times is None:
-            times = self.size_times[size] = []
-            insort(self.sizes, size)
-        insort(times, exec_time)
 
 
 @dataclass(frozen=True)
@@ -609,11 +591,19 @@ class TaskPredictor:
 
         Called once per MAPE iteration before any prediction is made.
         """
+        self.observe_transfers(monitor, window_start, now)
+        self.train_models(monitor)
+
+    def observe_transfers(self, monitor: Monitor, window_start: float, now: float) -> None:
+        """Push the interval's median transfer duration into ``t̃_data``."""
         observations = monitor.transfer_durations_between(window_start, now)
         if observations:
             interval_median = median(observations)
             self._transfer.push(interval_median)
             self._transfer_fallback = interval_median
+
+    def train_models(self, monitor: Monitor) -> None:
+        """Step each stage's OGD model on its completed tasks."""
         for stage in self.workflow.stages:
             _, training_set = self._completed_aggregates(stage.stage_id, monitor)
             if not training_set:
@@ -704,10 +694,10 @@ class TaskPredictor:
         accs = self._acc
         accs_get = accs.get
         use_median = self.config.use_median
-        # :meth:`_StageAccumulator.add` inlined: the loop runs once per
-        # completion ever recorded, and the method-call overhead measurably
-        # dominates the work it wraps at fleet scale. New values are
-        # appended and each touched list re-sorted once at the end —
+        # The accumulators are filled inline: the loop runs once per
+        # completion ever recorded, and a method call per completion
+        # measurably dominates the work it wraps at fleet scale. New values
+        # are appended and each touched list re-sorted once at the end —
         # timsort is stable, so the result is element-for-element identical
         # to per-item ``insort`` (equal values keep arrival order, exactly
         # as repeated right-insertions place them) at a fraction of the

@@ -7,7 +7,8 @@ Design constraints (tentpole requirements):
   load per potential record — record construction itself is skipped.
   ``tests/telemetry/test_overhead.py`` pins that structure; no wall-clock
   budget is gated. CI's ``tools/perfbench.py --check --threshold 0.6``
-  only trips on a >60% events/sec drop against ``BENCH_engine.json``.
+  only trips when a benchmark workload's run time, set-up time or peak
+  memory is >60% worse than in ``BENCH_engine.json``.
 - **Zero behavioral footprint.** Tracing is pure observation: it reads
   engine state after decisions are made and never touches RNG streams,
   so a traced run is bit-identical to an untraced one (asserted against

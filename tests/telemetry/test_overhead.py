@@ -2,8 +2,9 @@
 
 Disabled telemetry is meant to cost one cached-boolean check per
 emission site. No percentage of it is gated: CI runs
-``tools/perfbench.py --check --threshold 0.6``, which fails only on a
->60% events/sec drop against the committed ``BENCH_engine.json``. These
+``tools/perfbench.py --check --threshold 0.6``, which fails only when a
+benchmark workload's run time, set-up time or peak memory is >60% worse
+than in the committed ``BENCH_engine.json``. These
 tests guard the *mechanism* instead (structural fast-path flags and the
 absence of per-event allocation when disabled) plus a lenient wall-clock
 bound on *enabled* tracing, which is allowed to do real work.
