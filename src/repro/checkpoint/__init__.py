@@ -70,8 +70,10 @@ CHECKPOINT_MAGIC = b"WIRECKPT"
 #: pickles its tasks plus a DagStructure shared with its spec's other
 #: realizations; 4: a heap-only event queue, and task events carry an
 #: attempt handle instead of a task id; 5: the predictor drops its
-#: fallback flags and the lookahead simulator keeps no topology state)
-CHECKPOINT_VERSION = 5
+#: fallback flags and the lookahead simulator keeps no topology state;
+#: 6: the predictor's stage accumulators drop ``use_median``, and the
+#: WIRE controllers keep Algorithm 3's last target instead of its inputs)
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

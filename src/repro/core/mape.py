@@ -23,14 +23,45 @@ import numpy as np
 from repro.core.config import WireConfig
 from repro.core.lookahead import LookaheadSimulator, VirtualInstance
 from repro.core.predictor import TaskPredictor
-from repro.core.runstate import PredictionPolicy, RunState, TaskEstimate
-from repro.core.steering import SteeringPolicy, resize_pool, steer_inputs_for
+from repro.core.runstate import PredictionPolicy, RunState
+from repro.core.steering import SteeringPolicy, steer_inputs_for
 from repro.dag.workflow import Workflow
 from repro.engine.control import NO_CHANGE, Autoscaler, Observation, ScalingDecision
 from repro.engine.master import TaskExecState
 from repro.telemetry.records import StagePrediction, TickTelemetry
 
 __all__ = ["MapeController", "TickDiagnostics"]
+
+
+def _stage_predictions(run_state: RunState) -> tuple[StagePrediction, ...]:
+    """One :class:`StagePrediction` per stage with incomplete tasks.
+
+    Stages in id order; each reports its most frequent policy (ties
+    break toward the lower policy number, the paper's rule order), its
+    task count and the mean of its exec estimates, summed in the run
+    state's order.
+    """
+    by_stage: dict[str, tuple[list[float], dict[PredictionPolicy, int]]] = {}
+    for stage_id, exec_estimate, policy in run_state.incomplete_predictions():
+        group = by_stage.get(stage_id)
+        if group is None:
+            group = by_stage[stage_id] = ([], {})
+        group[0].append(exec_estimate)
+        counts = group[1]
+        counts[policy] = counts.get(policy, 0) + 1
+    predictions = []
+    for stage_id in sorted(by_stage):
+        estimates, counts = by_stage[stage_id]
+        dominant = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        predictions.append(
+            StagePrediction(
+                stage_id=stage_id,
+                model=dominant.name.lower(),
+                n_tasks=len(estimates),
+                mean_estimate=sum(estimates) / len(estimates),
+            )
+        )
+    return tuple(predictions)
 
 
 @dataclass(frozen=True)
@@ -63,11 +94,8 @@ class MapeController(Autoscaler):
         self._lookahead: LookaheadSimulator | None = None
         self._workflow: Workflow | None = None
         self._last_run_state: RunState | None = None
-        # inputs of the most recent Algorithm 3 evaluation, kept so
-        # tick_telemetry() can reconstruct the planned target lazily
-        self._last_upcoming: list[float] | None = None
-        self._last_charging_unit = 0.0
-        self._last_slots = 1
+        #: the latest tick's Q_task, converted only for a traced tick
+        self._last_upcoming: "np.ndarray | list[float] | None" = None
         #: per-tick telemetry, appended in tick order
         self.diagnostics: list[TickDiagnostics] = []
         #: graceful-degradation counters under cloud-fault injection:
@@ -172,11 +200,7 @@ class MapeController(Autoscaler):
             steerable, obs.billing, obs.now, run_state.estimates.__getitem__
         )
 
-        self._last_upcoming = (
-            upcoming.tolist() if isinstance(upcoming, np.ndarray) else list(upcoming)
-        )
-        self._last_charging_unit = obs.charging_unit
-        self._last_slots = obs.site.itype.slots
+        self._last_upcoming = upcoming
 
         # Execute
         decision = self._steering.decide(
@@ -220,48 +244,24 @@ class MapeController(Autoscaler):
     def tick_telemetry(self) -> TickTelemetry | None:
         """Controller detail of the last tick, for the trace layer.
 
-        Only invoked by the engine when a trace sink is attached, so the
-        Algorithm 3 re-evaluation here adds nothing to untraced runs.
+        Only invoked by the engine when a trace sink is attached. The
+        target is the p that the tick's own Algorithm 3 call computed,
+        and the stage predictions come from
+        :meth:`RunState.incomplete_predictions`, so no estimate is built
+        here.
         """
         run_state = self._last_run_state
         upcoming = self._last_upcoming
         if run_state is None or upcoming is None:
             return None
-        target = resize_pool(
-            upcoming,
-            self._last_charging_unit,
-            self._last_slots,
-            tail_threshold_fraction=self._steering.restart_threshold_fraction,
-        )
-        by_stage: dict[str, list[TaskEstimate]] = {}
-        for estimate in run_state.estimates.values():
-            if estimate.phase is TaskExecState.COMPLETED:
-                continue
-            by_stage.setdefault(estimate.stage_id, []).append(estimate)
-        predictions = []
-        for stage_id in sorted(by_stage):
-            estimates = by_stage[stage_id]
-            counts: dict[PredictionPolicy, int] = {}
-            for estimate in estimates:
-                counts[estimate.policy] = counts.get(estimate.policy, 0) + 1
-            # most frequent policy wins; ties break toward the lower
-            # policy number (the paper's rule order)
-            dominant = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-            predictions.append(
-                StagePrediction(
-                    stage_id=stage_id,
-                    model=dominant.name.lower(),
-                    n_tasks=len(estimates),
-                    mean_estimate=sum(e.exec_estimate for e in estimates)
-                    / len(estimates),
-                )
-            )
+        if isinstance(upcoming, np.ndarray):
+            upcoming = upcoming.tolist()
         return TickTelemetry(
-            target_pool=target,
+            target_pool=self._steering.last_target,
             q_task=len(upcoming),
             q_remaining=sum(upcoming),
             transfer_estimate=run_state.transfer_estimate,
-            stage_predictions=tuple(predictions),
+            stage_predictions=_stage_predictions(run_state),
         )
 
     # ------------------------------------------------------------------

@@ -121,7 +121,6 @@ class _StageAccumulator:
 
     __slots__ = (
         "count",
-        "use_median",
         "by_size",
         "by_seq",
         "by_time",
@@ -129,11 +128,9 @@ class _StageAccumulator:
         "size_times",
     )
 
-    def __init__(self, use_median: bool = True) -> None:
+    def __init__(self) -> None:
         #: completed attempts seen, including any without an exec time
         self.count = 0
-        #: which family of views to maintain (set from the config once)
-        self.use_median = use_median
         #: (input_size, stage_seq, exec_time) sorted by (size, seq)
         self.by_size: list[tuple[float, int, float]] = []
         #: (stage_seq, exec_time) sorted by seq — dispatch order
@@ -252,9 +249,6 @@ class _LazyEstimates(MutableMapping):
         "_input_size",
         "_ss_key",
         "_t_data",
-        "_annotate",
-        "_monitor",
-        "_now",
         "_rem_ready",
         "_rem_blocked",
     )
@@ -271,9 +265,6 @@ class _LazyEstimates(MutableMapping):
         input_size: dict[str, float],
         ss_key: dict[str, tuple[str, float]],
         t_data: float,
-        annotate,
-        monitor: Monitor,
-        now: float,
     ) -> None:
         self._order = order
         self._phases = phases
@@ -285,9 +276,6 @@ class _LazyEstimates(MutableMapping):
         self._input_size = input_size
         self._ss_key = ss_key
         self._t_data = t_data
-        self._annotate = annotate
-        self._monitor = monitor
-        self._now = now
         # remaining-occupancy memos for the float-only fast path: within
         # a tick the value is a pure function of (stage, input size) for
         # READY tasks and of the stage alone for BLOCKED ones
@@ -329,35 +317,27 @@ class _LazyEstimates(MutableMapping):
                     sunk_occupancy=0.0,
                     instance_id=instance_id,
                 )
-        else:
+        elif phase is TaskExecState.BLOCKED or phase is TaskExecState.READY:
             exec_estimate, policy = self._eval(task_id, phase)
-            if phase is TaskExecState.BLOCKED or phase is TaskExecState.READY:
-                t_data = self._t_data
-                estimate = TaskEstimate(
-                    task_id=task_id,
-                    stage_id=self._stage_of[task_id],
-                    phase=phase,
-                    exec_estimate=exec_estimate,
-                    policy=policy,
-                    remaining_occupancy=t_data + exec_estimate + t_data,
-                    sunk_occupancy=0.0,
-                    instance_id=None,
-                )
-            else:
-                # A slot-occupying task missing from the eager set: the
-                # master and monitor disagree about the in-flight set
-                # (hand-built fixtures). Annotate from the attempt
-                # record, as the eager in-flight annotations are.
-                estimate = self._annotate(
-                    task_id,
-                    self._stage_of[task_id],
-                    phase,
-                    exec_estimate,
-                    policy,
-                    self._monitor,
-                    self._now,
-                    self._t_data,
-                )
+            t_data = self._t_data
+            estimate = TaskEstimate(
+                task_id=task_id,
+                stage_id=self._stage_of[task_id],
+                phase=phase,
+                exec_estimate=exec_estimate,
+                policy=policy,
+                remaining_occupancy=t_data + exec_estimate + t_data,
+                sunk_occupancy=0.0,
+                instance_id=None,
+            )
+        else:
+            # every slot-holding task the monitor reports was annotated
+            # eagerly at build time; one missing here means the master
+            # and the monitor disagree about the in-flight set
+            raise RuntimeError(
+                f"the framework master has task {task_id!r} {phase.name} "
+                "but the monitor reports no attempt of it in flight"
+            )
         self._data[task_id] = estimate
         return estimate
 
@@ -447,6 +427,49 @@ class _LazyEstimates(MutableMapping):
             else:
                 append(self._materialize(task_id).remaining_occupancy)
         return out
+
+    def incomplete_predictions(
+        self,
+    ) -> Iterator[tuple[str, float, PredictionPolicy]]:
+        """:meth:`RunState.incomplete_predictions` without materializing.
+
+        One walk over the topological order: an entry already in the
+        mapping is read as it stands, and a READY or BLOCKED task's
+        estimate is evaluated once per (stage, size) or per stage, the
+        keys its value depends on within a tick.
+        """
+        data_get = self._data.get
+        phases = self._phases
+        stage_of = self._stage_of
+        ss_key = self._ss_key
+        ready_memo: dict[tuple[str, float], tuple[float, PredictionPolicy]] = {}
+        blocked_memo: dict[str, tuple[float, PredictionPolicy]] = {}
+        ready = TaskExecState.READY
+        blocked = TaskExecState.BLOCKED
+        completed = TaskExecState.COMPLETED
+        for task_id in self._order:
+            estimate = data_get(task_id)
+            if estimate is None:
+                phase = phases[task_id]
+                if phase is ready:
+                    key = ss_key[task_id]
+                    value = ready_memo.get(key)
+                    if value is None:
+                        value = ready_memo[key] = self._eval(task_id, phase)
+                    yield key[0], value[0], value[1]
+                    continue
+                if phase is blocked:
+                    stage_id = stage_of[task_id]
+                    value = blocked_memo.get(stage_id)
+                    if value is None:
+                        value = blocked_memo[stage_id] = self._eval(task_id, phase)
+                    yield stage_id, value[0], value[1]
+                    continue
+                if phase is completed:
+                    continue
+                estimate = self._materialize(task_id)
+            if estimate.phase is not completed:
+                yield estimate.stage_id, estimate.exec_estimate, estimate.policy
 
     # -- mapping protocol -----------------------------------------------
     def __getitem__(self, task_id: str) -> TaskEstimate:
@@ -707,7 +730,7 @@ class TaskPredictor:
             stage_id = attempt.stage_id
             acc = accs_get(stage_id)
             if acc is None:
-                acc = accs[stage_id] = _StageAccumulator(use_median)
+                acc = accs[stage_id] = _StageAccumulator()
             acc.count += 1
             exec_time = attempt.execution_time
             if exec_time is None:
@@ -1115,9 +1138,6 @@ class TaskPredictor:
             input_size=input_size,
             ss_key=self._stage_size_key,
             t_data=t_data,
-            annotate=self._annotate_incomplete,
-            monitor=monitor,
-            now=now,
         )
         state = RunState(now=now, transfer_estimate=t_data, estimates=estimates)
         state.completed_count = master.completed_count

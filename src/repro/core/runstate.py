@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.engine.master import TaskExecState
 
@@ -105,6 +106,24 @@ class RunState:
         for estimate in self.estimates.values():
             counts[estimate.policy] = counts.get(estimate.policy, 0) + 1
         return counts
+
+    def incomplete_predictions(
+        self,
+    ) -> Iterator[tuple[str, float, PredictionPolicy]]:
+        """``(stage id, exec estimate, policy)`` of every incomplete task,
+        in the mapping's iteration order.
+
+        The predictor's lazy mapping answers from its tick contexts
+        without building a :class:`TaskEstimate` per task.
+        """
+        produce = getattr(self.estimates, "incomplete_predictions", None)
+        if produce is not None:
+            return produce()
+        return (
+            (e.stage_id, e.exec_estimate, e.policy)
+            for e in self.estimates.values()
+            if e.phase is not TaskExecState.COMPLETED
+        )
 
     def state_size_bytes(self) -> int:
         """Approximate footprint of the annotations (§IV-F overhead).

@@ -272,6 +272,9 @@ class SteeringPolicy:
             "restart_threshold_fraction", restart_threshold_fraction, 0.0, 1.0
         )
         self.restart_threshold_fraction = restart_threshold_fraction
+        #: Algorithm 3's p at the latest :meth:`decide`, before an empty
+        #: Q_task is replaced by ``min_instances`` (the traced tick reads it)
+        self.last_target: int | None = None
 
     def decide(
         self,
@@ -299,6 +302,7 @@ class SteeringPolicy:
             slots_per_instance,
             tail_threshold_fraction=self.restart_threshold_fraction,
         )
+        self.last_target = p
         if len(upcoming_remaining) == 0:
             # §III-D: with an empty Q_task, retain a minimal pool until the
             # next control iteration (or workflow end).

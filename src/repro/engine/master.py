@@ -36,6 +36,7 @@ class TaskExecState(enum.Enum):
         )
 
 
+_ALL_STATES = tuple(TaskExecState)
 _IN_FLIGHT = (
     TaskExecState.STAGING_IN,
     TaskExecState.EXECUTING,
@@ -94,11 +95,10 @@ class FrameworkMaster:
         return sum(1 for s in self._state.values() if s is state)
 
     def state_counts(self) -> dict[TaskExecState, int]:
-        """Tasks per lifecycle state, in one pass (telemetry snapshot)."""
-        counts = dict.fromkeys(TaskExecState, 0)
-        for state in self._state.values():
-            counts[state] += 1
-        return counts
+        """Tasks per lifecycle state (telemetry snapshot)."""
+        # list.count compares by identity first, so no member is hashed
+        states = list(self._state.values())
+        return {state: states.count(state) for state in _ALL_STATES}
 
     def in_flight_tasks(self) -> list[str]:
         """Ids of tasks currently occupying slots, sorted."""

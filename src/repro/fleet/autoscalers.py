@@ -28,7 +28,7 @@ from repro.core.config import WireConfig
 from repro.core.lookahead import LookaheadSimulator, VirtualInstance
 from repro.core.predictor import SharedEvalCache, TaskPredictor
 from repro.core.runstate import RunState
-from repro.core.steering import SteeringPolicy, resize_pool, steer_inputs_for
+from repro.core.steering import SteeringPolicy, steer_inputs_for
 from repro.engine.control import NO_CHANGE, ScalingDecision, TerminationOrder
 from repro.engine.master import TaskExecState
 from repro.fleet.tenant import TenantRun
@@ -144,10 +144,9 @@ class GlobalWireAutoscaler(FleetAutoscaler):
         #: fleet: tenants running the same genome at the same model state
         #: reuse each other's Policy 5 predictions across ticks
         self._shared_cache = SharedEvalCache()
-        self._last_upcoming: list[float] | None = None
+        #: the latest tick's summed Q_task, converted only for a traced tick
+        self._last_upcoming: np.ndarray | None = None
         self._last_transfer = 0.0
-        self._last_charging_unit = 0.0
-        self._last_slots = 1
         self.blackout_ticks = 0
         self.blackout_holds = 0
 
@@ -257,14 +256,12 @@ class GlobalWireAutoscaler(FleetAutoscaler):
             steerable, obs.billing, obs.now, estimate_of
         )
 
-        self._last_upcoming = upcoming.tolist()
+        self._last_upcoming = upcoming
         self._last_transfer = (
             sum(transfer_estimates) / len(transfer_estimates)
             if transfer_estimates
             else 0.0
         )
-        self._last_charging_unit = obs.charging_unit
-        self._last_slots = slots_per_instance
 
         decision = self._steering.decide(
             now=obs.now,
@@ -285,17 +282,12 @@ class GlobalWireAutoscaler(FleetAutoscaler):
         return decision
 
     def tick_telemetry(self) -> TickTelemetry | None:
-        upcoming = self._last_upcoming
-        if upcoming is None:
+        if self._last_upcoming is None:
             return None
-        target = resize_pool(
-            upcoming,
-            self._last_charging_unit,
-            self._last_slots,
-            tail_threshold_fraction=self._steering.restart_threshold_fraction,
-        )
+        upcoming = self._last_upcoming.tolist()
         return TickTelemetry(
-            target_pool=target,
+            # Algorithm 3's p from the tick's own steering call
+            target_pool=self._steering.last_target,
             q_task=len(upcoming),
             q_remaining=sum(upcoming),
             transfer_estimate=self._last_transfer,

@@ -15,9 +15,19 @@ import io
 import json
 from abc import ABC, abstractmethod
 from collections import deque
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable
 
-from repro.telemetry.records import TraceRecord, record_from_json
+from repro.telemetry.records import (
+    _RECORD_TYPES,
+    StagePrediction,
+    TraceRecord,
+    _field_dict,
+    record_from_json,
+)
 
 __all__ = [
     "JsonlSink",
@@ -73,9 +83,70 @@ class MemorySink(TraceSink):
         self._records.clear()
 
 
+def _nested(value: Any) -> dict[str, Any]:
+    """A tick's :class:`StagePrediction` as its field dict, the form
+    ``ControlTickRecord.to_json`` gives it."""
+    if type(value) is StagePrediction:
+        return _field_dict(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 #: one JSONL line body: sorted keys, compact separators. ``encode`` takes
 #: CPython's C encoder (``json.dump`` never does) and yields the same bytes.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODE = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_nested
+).encode
+
+_FLOAT_REPR = float.__repr__
+#: json's spelling of the non-finite floats
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = _FLOAT_REPR(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: exact-type formatters that spell a value as ``json`` does; any other
+#: type goes through ``_ENCODE``
+_SCALAR: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _line_plan(cls: type) -> tuple[Callable[[Any], tuple], str]:
+    """One record class's line: a getter of its values in sorted key
+    order (``kind`` included) and the line around them, one ``%s`` each."""
+    names = sorted([f.name for f in fields(cls)] + ["kind"])
+    template = ",".join(
+        encode_basestring_ascii(name).replace("%", "%%") + ":%s" for name in names
+    )
+    return attrgetter(*names), "{" + template + "}\n"
+
+
+_LINE_PLANS = {cls: _line_plan(cls) for cls in _RECORD_TYPES.values()}
+
+
+def _encode_line(record: TraceRecord) -> str:
+    """``record`` as one JSONL line: ``_ENCODE(record.to_json())`` plus a
+    newline, byte for byte.
+
+    The record types in this package are spelled field by field from a
+    per-class plan, without building the dict or an encoder per record;
+    any other record goes through ``to_json``.
+    """
+    plan = _LINE_PLANS.get(type(record))
+    if plan is None:
+        return _ENCODE(record.to_json()) + "\n"
+    get, template = plan
+    spell = _SCALAR.get
+    return template % tuple([spell(type(v), _ENCODE)(v) for v in get(record)])
 
 
 class JsonlSink(TraceSink):
@@ -103,7 +174,7 @@ class JsonlSink(TraceSink):
     def emit(self, record: TraceRecord) -> None:
         if self._file is None:
             self._open()
-        self._file.write(_ENCODE(record.to_json()) + "\n")
+        self._file.write(_encode_line(record))
         self._emitted += 1
 
     def _open(self) -> None:

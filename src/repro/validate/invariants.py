@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 from typing import Any
 
 from repro.cloud.billing import _BOUNDARY_EPS, BillingModel
@@ -95,32 +96,42 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
     expected_pending: set[str] = set()
     expected_buckets: dict[int, set[str]] = {}
     expected_placement: dict[str, str] = {}
-    for instance in pool:
+    expected_free = 0
+    for instance in pool._instances.values():
         iid = instance.instance_id
-        slots = instance.itype.slots
         state = instance.state
         occupants = instance.occupants
-        held = len(occupants)
-        if held > slots:
-            violations.append(
-                Violation(
-                    "slots.capacity",
-                    now,
-                    f"instance {iid} holds {held} occupants on {slots} slots",
-                    {"instance": iid, "occupants": sorted(occupants)},
+        if occupants:
+            slots = instance.itype.slots
+            held = len(occupants)
+            if held > slots:
+                violations.append(
+                    Violation(
+                        "slots.capacity",
+                        now,
+                        f"instance {iid} holds {held} occupants on {slots} slots",
+                        {"instance": iid, "occupants": sorted(occupants)},
+                    )
                 )
-            )
-        if state is not running and occupants:
-            violations.append(
-                Violation(
-                    "slots.occupied_not_running",
-                    now,
-                    f"{state.value} instance {iid} still holds "
-                    f"occupants {sorted(occupants)}",
-                    {"instance": iid, "state": state.value},
+            if state is not running:
+                violations.append(
+                    Violation(
+                        "slots.occupied_not_running",
+                        now,
+                        f"{state.value} instance {iid} still holds "
+                        f"occupants {sorted(occupants)}",
+                        {"instance": iid, "state": state.value},
+                    )
                 )
-            )
-        if instance._assign_times.keys() != occupants:
+            assign_drift = instance._assign_times.keys() != occupants
+            for task_id in occupants:
+                expected_placement[task_id] = iid
+        else:
+            # slots are positive (InstanceType checks), so an empty
+            # instance is within capacity; its assign times must be empty
+            held = 0
+            assign_drift = bool(instance._assign_times)
+        if assign_drift:
             violations.append(
                 Violation(
                     "slots.assign_times",
@@ -147,13 +158,16 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
             )
         if state is running:
             expected_running.add(iid)
-            free = slots - held
+            free = instance.itype.slots - held
             if free > 0:
-                expected_buckets.setdefault(free, set()).add(iid)
+                expected_free += free
+                bucket = expected_buckets.get(free)
+                if bucket is None:
+                    expected_buckets[free] = {iid}
+                else:
+                    bucket.add(iid)
         elif state is pending:
             expected_pending.add(iid)
-        if occupants:
-            expected_placement.update(dict.fromkeys(occupants, iid))
 
     if expected_running != pool._running_ids:
         violations.append(
@@ -179,10 +193,20 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
                 },
             )
         )
-    actual_buckets = {
-        free: set(bucket) for free, bucket in pool._buckets.items() if bucket
-    }
-    if actual_buckets != expected_buckets:
+    # the non-empty buckets must equal the recomputed ones, compared in
+    # place rather than copied
+    nonempty = 0
+    buckets_drifted = False
+    for free, bucket in pool._buckets.items():
+        if bucket:
+            nonempty += 1
+            if expected_buckets.get(free) != bucket:
+                buckets_drifted = True
+                break
+    if buckets_drifted or nonempty != len(expected_buckets):
+        actual_buckets = {
+            free: set(bucket) for free, bucket in pool._buckets.items() if bucket
+        }
         violations.append(
             Violation(
                 "pool.free_slot_index",
@@ -218,9 +242,6 @@ def check_pool_slots(pool: InstancePool, now: float) -> list[Violation]:
                 },
             )
         )
-    expected_free = sum(
-        free * len(bucket) for free, bucket in expected_buckets.items()
-    )
     actual_free = pool.free_slots()
     if actual_free != expected_free:
         violations.append(
@@ -416,9 +437,7 @@ def check_monitor_aggregates(
     for stage_id, attempts in monitor._by_stage.items():
         expected_completed = [a for a in attempts if a.is_completed]
         actual_completed = monitor.completed_in_stage(stage_id)
-        if [id(a) for a in expected_completed] != [
-            id(a) for a in actual_completed
-        ]:
+        if not _same_objects(expected_completed, actual_completed):
             violations.append(
                 Violation(
                     "monitor.completed_in_stage",
@@ -434,7 +453,7 @@ def check_monitor_aggregates(
             )
         expected_running = [a for a in attempts if a.in_flight]
         actual_running = monitor.running_in_stage(stage_id)
-        if [id(a) for a in expected_running] != [id(a) for a in actual_running]:
+        if not _same_objects(expected_running, actual_running):
             violations.append(
                 Violation(
                     "monitor.running_in_stage",
@@ -466,6 +485,15 @@ def check_monitor_aggregates(
     return violations
 
 
+def _same_objects(expected: list, actual: list) -> bool:
+    """The two lists hold the same objects, by identity, in order."""
+    return len(expected) == len(actual) and all(map(is_, expected, actual))
+
+
+#: an attempt's position in the historical all-attempts scan
+_SCAN_ORDER = attrgetter("_task_order", "attempt")
+
+
 def _reference_transfer_times(
     monitor: Monitor, t0: float, t1: float
 ) -> list[float]:
@@ -473,7 +501,7 @@ def _reference_transfer_times(
     attempts in first-dispatch order, stage-in before stage-out within an
     attempt, keeping durations that finished in ``(t0, t1]``."""
     ordered: list[TaskAttempt] = sorted(
-        monitor.all_attempts(), key=lambda a: (a._task_order, a.attempt)
+        monitor.all_attempts(), key=_SCAN_ORDER
     )
     durations: list[float] = []
     for attempt in ordered:

@@ -8,7 +8,9 @@ versions of each piece — a full topological scan per tick, an
 O(n log n) regrouping of each stage's completed attempts — kept as the
 oracle the differential tests compare the incremental build against.
 They read the predictor's learned state (OGD models, transfer estimate)
-and write nothing back.
+and write nothing back. :func:`reference_tick_telemetry` is the
+historical traced tick, which re-ran Algorithm 3 and grouped every
+materialized estimate by stage.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core import PredictionPolicy, RunState, TaskEstimate, TaskPredictor
+from repro.core.steering import resize_pool
 from repro.core.predictor import _sizes_equivalent, _StageView
 from repro.dag import Workflow
 from repro.engine import FrameworkMaster, Monitor, TaskExecState
 from repro.engine.monitor import TaskAttempt
 from repro.metrics.stats import mean, median
+from repro.telemetry import StagePrediction, TickTelemetry
 
 
 def group_by_input_size(
@@ -180,3 +184,48 @@ def assert_same_run_state(actual: RunState, expected: RunState) -> None:
     assert actual.unfinished_parents == expected.unfinished_parents
     assert actual.completed_count == expected.completed_count
     assert actual.in_flight == expected.in_flight
+
+
+def reference_tick_telemetry(
+    run_state: RunState,
+    upcoming: Sequence[float],
+    charging_unit: float,
+    slots: int,
+    tail_threshold_fraction: float,
+) -> TickTelemetry:
+    """The historical traced tick: Algorithm 3 re-run on the tick's Q_task,
+    and every estimate materialized to be grouped by stage."""
+    target = resize_pool(
+        upcoming,
+        charging_unit,
+        slots,
+        tail_threshold_fraction=tail_threshold_fraction,
+    )
+    by_stage: dict[str, list[TaskEstimate]] = {}
+    for estimate in run_state.estimates.values():
+        if estimate.phase is TaskExecState.COMPLETED:
+            continue
+        by_stage.setdefault(estimate.stage_id, []).append(estimate)
+    predictions = []
+    for stage_id in sorted(by_stage):
+        estimates = by_stage[stage_id]
+        counts: dict[PredictionPolicy, int] = {}
+        for estimate in estimates:
+            counts[estimate.policy] = counts.get(estimate.policy, 0) + 1
+        dominant = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        predictions.append(
+            StagePrediction(
+                stage_id=stage_id,
+                model=dominant.name.lower(),
+                n_tasks=len(estimates),
+                mean_estimate=sum(e.exec_estimate for e in estimates)
+                / len(estimates),
+            )
+        )
+    return TickTelemetry(
+        target_pool=target,
+        q_task=len(upcoming),
+        q_remaining=sum(upcoming),
+        transfer_estimate=run_state.transfer_estimate,
+        stage_predictions=tuple(predictions),
+    )

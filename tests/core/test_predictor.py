@@ -220,6 +220,22 @@ class TestRunStateAssembly:
         with pytest.raises(RuntimeError, match="'map-0000'"):
             predictor.build_run_state(master, monitor, 20.0)
 
+    def test_slot_holder_unknown_to_monitor_raises(self, stage_workflow):
+        """A task the master has in flight but the monitor never saw
+        dispatched is a master/monitor disagreement, not an estimate."""
+        from repro.engine import FrameworkMaster
+
+        predictor = TaskPredictor(stage_workflow)
+        master = FrameworkMaster(stage_workflow)
+        master.mark_dispatched("map-0001")
+        master.mark_executing("map-0001")
+        state = predictor.build_run_state(master, Monitor(), 5.0)
+        assert state.estimate("map-0000").phase is TaskExecState.READY
+        with pytest.raises(RuntimeError, match="'map-0001' EXECUTING"):
+            state.estimate("map-0001")
+        with pytest.raises(RuntimeError, match="'map-0001'"):
+            list(state.incomplete_predictions())
+
     def test_mean_ablation_changes_aggregation(self, stage_workflow):
         monitor = Monitor()
         stage = stage_workflow.stage_of["map-0000"]
